@@ -36,6 +36,7 @@
 #include "obs/health.hpp"
 #include "obs/prof.hpp"
 #include "obs/query_trace.hpp"
+#include "obs/runtime.hpp"
 #include "obs/trace.hpp"
 #include "vmpi/comm.hpp"
 #include "workloads/decomposition.hpp"
@@ -92,6 +93,12 @@ double min_of_runs(int runs, const std::filesystem::path& dir,
 
 int main(int argc, char** argv) {
     constexpr std::size_t kSpanIters = 1'000'000;
+
+    // Every configuration below arms exactly what it measures. BAT_OBS (CI
+    // sets it only for the exit-time run report) also arms flight records,
+    // whose span tracking and blocked-on recording would otherwise run in
+    // the read.total_off baseline the overhead gates divide by.
+    obs::set_component(obs::kFlight, false);
 
     obs::set_trace_enabled(false);
     const double disabled_ns = span_cost_ns(kSpanIters);

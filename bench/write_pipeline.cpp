@@ -9,8 +9,11 @@
 // plain run prints a table. See docs/PERFORMANCE.md.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,6 +49,7 @@ bool synthetic_hot_enabled() {
 
 struct PipelineRun {
     WritePhaseTimings slowest;  // component-wise max over ranks
+    BatBuildTimings bat_sum;    // builder stages summed over ranks
     std::uint64_t bytes_written = 0;
     int num_leaves = 0;
 };
@@ -67,6 +71,7 @@ PipelineRun run_pipeline(const std::filesystem::path& dir,
             comm, per_rank[static_cast<std::size_t>(r)], decomp.rank_box(r), config);
         std::lock_guard<std::mutex> lock(mutex);
         run.slowest = WritePhaseTimings::max(run.slowest, wr.timings);
+        run.bat_sum += wr.timings.bat;
         run.bytes_written += wr.bytes_written;
         run.num_leaves = wr.num_leaves;
     });
@@ -80,16 +85,20 @@ int main(int argc, char** argv) {
     constexpr std::size_t kParticles = 1 << 20;
     constexpr int kRuns = 5;
 
-    // Participate in sampling when armed via BAT_PROF_HZ (the rank and pool
-    // threads register themselves; the synthetic hot loop runs here).
-    obs::prof_register_thread("main");
+    // Participate in sampling when armed via BAT_OBS=prof (the rank and pool
+    // threads attach themselves; the synthetic hot loop runs here).
+    obs::attach_thread("main");
 
     const auto dir = bench::scratch_dir("write_pipeline");
     const Box domain({0, 0, 0}, {4, 4, 4});
     const GridDecomp decomp = grid_decomp_3d(kRanks, domain);
     const ParticleSet global = make_uniform_particles(domain, kParticles, 4, 42);
     const std::vector<ParticleSet> per_rank = partition_particles(global, decomp);
-    ThreadPool pool(ThreadPool::default_concurrency());
+    // --pool-threads 0 builds each rank's BAT serially on its own thread
+    // (the profiler-armed CI legs: see the prof.wall rows below).
+    ThreadPool pool(static_cast<std::size_t>(std::atoi(bench::flag_value(
+        argc, argv, "--pool-threads",
+        std::to_string(ThreadPool::default_concurrency()).c_str()))));
 
     std::fprintf(stderr, "[bench] %d-rank write of %zu particles, best of %d runs\n",
                  kRanks, kParticles, kRuns);
@@ -99,11 +108,13 @@ int main(int argc, char** argv) {
     }
     PipelineRun best;
     double best_total = 1e30;
+    BatBuildTimings measured_bat;  // every rank of every measured run
     for (int i = 0; i < kRuns; ++i) {
         if (synthetic_hot_enabled()) {
             synthetic_hot_loop();
         }
         const PipelineRun run = run_pipeline(dir, per_rank, decomp, &pool);
+        measured_bat += run.bat_sum;
         if (run.slowest.total() < best_total) {
             best_total = run.slowest.total();
             best = run;
@@ -147,7 +158,18 @@ int main(int argc, char** argv) {
                         static_cast<double>(totals.samples),
                     "pct", 0.0, threads});
                 // Per-stage sample shares, normalized over the six builder
-                // stages so they compare against the bat.* wall shares.
+                // stages, and the wall shares of the same population: every
+                // rank of every measured run (the bat.* rows above are the
+                // best run's per-stage maxima). The two agree only when a
+                // stage's work runs on the rank thread that times it, i.e.
+                // with --pool-threads 0: pool helpers add CPU, not wall.
+                const BatBuildTimings& m = measured_bat;
+                const std::map<std::string, double> stage_wall = {
+                    {"bat.edges", m.edges}, {"bat.encode", m.encode},
+                    {"bat.sort", m.sort},   {"bat.treelets", m.treelets},
+                    {"bat.reorder", m.reorder}, {"bat.bitmaps", m.bitmaps}};
+                const double wall_total = m.edges + m.encode + m.sort + m.treelets +
+                                          m.reorder + m.bitmaps;
                 const std::vector<obs::ProfStackCount> stacks = obs::prof_stack_counts();
                 std::vector<std::pair<std::string, std::uint64_t>> stage_samples;
                 std::uint64_t stage_total = 0;
@@ -168,6 +190,12 @@ int main(int argc, char** argv) {
                     stage_total += count;
                 }
                 for (const auto& [stage, count] : stage_samples) {
+                    if (wall_total > 0) {
+                        writer.add(bench::JsonBenchResult{
+                            "prof.wall." + stage, kParticles * kRuns,
+                            100.0 * stage_wall.at(stage) / wall_total, "pct", 0.0,
+                            threads});
+                    }
                     if (count == 0) {
                         continue;  // a zero-n row would fail schema validation
                     }

@@ -38,15 +38,11 @@ const BatFile& Dataset::leaf_file(int leaf_id) {
 
 std::uint64_t Dataset::query(const BatQuery& query, const QueryCallback& cb,
                              QueryStats* stats) {
-    // QueryStats accumulate across query_bat calls, so one struct sums the
-    // whole multi-leaf sweep.
-    QueryStats total;
+    // query_bat accumulates into `stats`, so one struct sums the whole
+    // multi-leaf sweep — and successive calls on the same struct.
     std::uint64_t emitted = 0;
     for (int leaf : meta_.query_leaves(query.box, query.attr_filters)) {
-        emitted += query_bat(leaf_file(leaf), query, cb, &total);
-    }
-    if (stats != nullptr) {
-        *stats = total;
+        emitted += query_bat(leaf_file(leaf), query, cb, stats);
     }
     return emitted;
 }

@@ -37,7 +37,7 @@ public:
 
     /// Run a query across every matching leaf file; returns points emitted.
     /// Leaves are pruned through the metadata (spatially and by the
-    /// global-range bitmaps) before being opened.
+    /// global-range bitmaps) before being opened. Counts add into `stats`.
     std::uint64_t query(const BatQuery& query, const QueryCallback& cb,
                         QueryStats* stats = nullptr);
 

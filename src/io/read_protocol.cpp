@@ -207,7 +207,7 @@ void LeafServer::start_job(int src, const vmpi::Bytes& payload) {
             }
             const bool tracked = obs::span_tracking_enabled();
             if (tracked) {
-                obs::health_detail::push_span("read.serve_leaf");
+                obs::detail::push_span("read.serve_leaf");
             }
             std::uint64_t hits0 = 0;
             std::uint64_t misses0 = 0;
@@ -223,7 +223,7 @@ void LeafServer::start_job(int src, const vmpi::Bytes& payload) {
             }
             const std::uint64_t t1 = obs::trace_now_ns();
             if (tracked) {
-                obs::health_detail::pop_span();
+                obs::detail::pop_span();
             }
             if (traced) {
                 obs::emit_end("read.serve_leaf", "read");

@@ -97,7 +97,7 @@ ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadat
     obs::QueryScope qscope(qctx);
     const std::uint64_t q_start_ns = obs::trace_now_ns();
 
-    // Phase spans populate ReadPhaseTimings and, under BAT_TRACE, the
+    // Phase spans populate ReadPhaseTimings and, while tracing is on, the
     // per-rank trace timeline (same pattern as write_particles).
 
     // ---- (a) metadata + local aggregator assignment ------------------------

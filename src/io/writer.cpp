@@ -272,7 +272,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     io_detail::WritePlanState* state = plan != nullptr ? plan->state_.get() : nullptr;
 
     // Phase accounting: each obs::PhaseSpan both emits a trace span (when
-    // BAT_TRACE is on) and accumulates wall seconds into the corresponding
+    // tracing is on) and accumulates wall seconds into the corresponding
     // WritePhaseTimings field — the only bookkeeping path for Fig 6/10/12.
 
     // ---- (a) gather counts + bounds; build the aggregation on rank 0 ------

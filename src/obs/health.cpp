@@ -9,16 +9,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/output_path.hpp"
-#include "obs/prof.hpp"
 #include "obs/trace.hpp"
+#include "util/lock_order.hpp"
 #include "util/log.hpp"
 
 namespace bat::obs {
@@ -31,6 +30,12 @@ namespace {
 // race a destructor.
 
 constexpr int kMaxRanks = 1024;
+
+// The report's "messages" section, in order; pool tasks go under "pool".
+enum Traffic { kSends, kSendBytes, kRecvs, kRecvBytes, kCollectives, kLeavesServed, kPoolTasks,
+               kTrafficCount };
+constexpr const char* kTrafficNames[] = {"sends",       "send_bytes",    "recvs",
+                                         "recv_bytes",  "collectives",   "leaves_served"};
 
 struct RankSlot {
     std::atomic<std::uint64_t> epoch{0};
@@ -55,13 +60,6 @@ struct DiagProvider {
     std::function<std::string()> fn;
 };
 
-struct SpanStack {
-    static constexpr int kMaxDepth = 48;
-    std::atomic<const char*> names[kMaxDepth] = {};
-    std::atomic<int> depth{0};
-    std::atomic<int> rank{-1};
-};
-
 struct Watchdog {
     std::thread thread;
     std::mutex mutex;
@@ -81,13 +79,7 @@ struct HealthState {
     std::atomic<int> max_rank{-1};
 
     // Message/pool accounting for the report's traffic section.
-    std::atomic<std::uint64_t> sends{0};
-    std::atomic<std::uint64_t> send_bytes{0};
-    std::atomic<std::uint64_t> recvs{0};
-    std::atomic<std::uint64_t> recv_bytes{0};
-    std::atomic<std::uint64_t> collectives{0};
-    std::atomic<std::uint64_t> leaves_served{0};
-    std::atomic<std::uint64_t> pool_tasks{0};
+    std::atomic<std::uint64_t> traffic[kTrafficCount] = {};
 
     // Report accumulators (coarse mutexes: phase closes and rank-value
     // records happen a handful of times per collective, not per particle).
@@ -101,19 +93,15 @@ struct HealthState {
     std::vector<DiagProvider> providers;
     std::uint64_t next_provider_id = 1;
 
-    // Span-stack registry (entries are leaked with their threads).
-    std::mutex stacks_mutex;
-    std::vector<SpanStack*> stacks;
-
     // Watchdog.
     std::mutex watchdog_mutex;  // guards start/stop and the pointer below
     Watchdog* watchdog = nullptr;
-    std::atomic<bool> watchdog_on{false};
     // Whether the watchdog ran at any point this run: the exit hook stops
     // the watchdog before writing the report, so the report uses this, not
-    // watchdog_on, for its "armed" field.
+    // watchdog_running(), for its "armed" field.
     std::atomic<bool> watchdog_armed_ever{false};
     std::atomic<std::uint64_t> trips{0};
+    std::atomic<std::uint64_t> flight_seq{0};
 
     std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
 };
@@ -122,9 +110,6 @@ HealthState& state() {
     static HealthState* s = new HealthState;
     return *s;
 }
-
-std::atomic<bool> g_span_tracking{false};
-std::atomic<bool> g_flight_armed{false};
 
 RankSlot& slot_for(int rank) {
     HealthState& s = state();
@@ -144,149 +129,33 @@ void bump(int rank) {
     s.total_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
-// The calling thread's span stack, reachable two ways: thread_span_stack()
-// creates it on first use (registry lock), while the raw pointer is
-// constant-initialized TLS so the profiler's SIGPROF handler can read the
-// current thread's stack without locking, allocating, or running a lazy
-// initializer — an unregistered thread just reads null.
-thread_local SpanStack* t_span_stack = nullptr;
-
-SpanStack& thread_span_stack() {
-    if (t_span_stack == nullptr) {
-        auto* st = new SpanStack;
-        HealthState& s = state();
-        std::lock_guard<std::mutex> lock(s.stacks_mutex);
-        s.stacks.push_back(st);
-        t_span_stack = st;
-    }
-    return *t_span_stack;
-}
-
-// ---- JSON building --------------------------------------------------------
-
-void json_escape(std::string& out, const std::string& in) {
-    for (const char c : in) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char hex[8];
-                    std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                    out += hex;
-                } else {
-                    out += c;
-                }
-        }
-    }
-}
-
-void append_double(std::string& out, double v) {
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.9g", v);
-    out += num;
-}
-
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
 // ---- signal handlers ------------------------------------------------------
 
-constexpr int kFatalSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL};
+constexpr std::pair<int, const char*> kFatalSignals[] = {
+    {SIGSEGV, "SIGSEGV"}, {SIGABRT, "SIGABRT"}, {SIGBUS, "SIGBUS"},
+    {SIGFPE, "SIGFPE"},   {SIGILL, "SIGILL"}};
 struct sigaction g_old_actions[std::size(kFatalSignals)];
-
-const char* signal_name(int sig) {
-    switch (sig) {
-        case SIGSEGV: return "SIGSEGV";
-        case SIGABRT: return "SIGABRT";
-        case SIGBUS: return "SIGBUS";
-        case SIGFPE: return "SIGFPE";
-        case SIGILL: return "SIGILL";
-    }
-    return "signal";
-}
 
 void fatal_signal_handler(int sig) {
     // Best-effort: the dump takes locks and allocates, which is not
     // async-signal-safe, but on a crash path losing the dump is no worse
     // than never having one. The guard stops recursive faults.
+    // Then restore the previous disposition (sanitizer handlers included)
+    // and re-raise so the crash reports as it would have without us.
     static std::atomic<bool> in_handler{false};
-    if (!in_handler.exchange(true)) {
-        dump_flight_record(std::string("signal:") + signal_name(sig));
-    }
-    // Restore the previous disposition (sanitizer handlers included) and
-    // re-raise so the crash reports as it would have without us.
     for (std::size_t i = 0; i < std::size(kFatalSignals); ++i) {
-        if (kFatalSignals[i] == sig) {
-            sigaction(sig, &g_old_actions[i], nullptr);
+        if (kFatalSignals[i].first != sig) {
+            continue;
         }
+        if (!in_handler.exchange(true)) {
+            // The lock-order checker aborts while holding its registry lock;
+            // the dump's own checked locks must not wait on it.
+            lockdbg::set_enabled(false);
+            dump_flight_record(std::string("signal:") + kFatalSignals[i].second);
+        }
+        sigaction(sig, &g_old_actions[i], nullptr);
     }
     raise(sig);
-}
-
-void install_signal_handlers() {
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = fatal_signal_handler;
-    sigemptyset(&sa.sa_mask);
-    for (std::size_t i = 0; i < std::size(kFatalSignals); ++i) {
-        sigaction(kFatalSignals[i], &sa, &g_old_actions[i]);
-    }
-}
-
-// ---- env arming -----------------------------------------------------------
-
-/// start_watchdog minus the ensure_init() prologue, for use *inside* the
-/// ensure_init call_once body: the public entry point re-enters
-/// ensure_init, and std::call_once re-entered on its own flag from the
-/// same thread deadlocks.
-void start_watchdog_impl(WatchdogOptions opts);
-
-/// One-time environment arming: BAT_WATCHDOG_SEC starts the monitor thread,
-/// BAT_FLIGHT_RECORD_FILE installs crash handlers, BAT_REPORT_FILE
-/// registers the exit-time report export. Called from every health entry
-/// point; after the first call this is a single fenced load.
-void ensure_init() {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        // Touch the statics the atexit hooks use so they are constructed
-        // (and therefore destroyed) in a safe order relative to the hook.
-        state();
-        MetricsRegistry::global();
-        const char* watchdog_env = std::getenv("BAT_WATCHDOG_SEC");
-        const char* flight_env = std::getenv("BAT_FLIGHT_RECORD_FILE");
-        const char* report_env = std::getenv("BAT_REPORT_FILE");
-        if (flight_env != nullptr) {
-            g_flight_armed.store(true, std::memory_order_relaxed);
-            set_span_tracking(true);
-            install_signal_handlers();
-        }
-        if (watchdog_env != nullptr) {
-            const double sec = std::strtod(watchdog_env, nullptr);
-            if (sec > 0) {
-                WatchdogOptions opts;
-                opts.interval = std::chrono::milliseconds(
-                    static_cast<std::int64_t>(sec * 1000.0));
-                start_watchdog_impl(std::move(opts));
-            }
-        }
-        if (watchdog_env != nullptr || report_env != nullptr) {
-            std::atexit([] {
-                stop_watchdog();
-                if (const char* path = std::getenv("BAT_REPORT_FILE")) {
-                    write_run_report(path);
-                }
-            });
-        }
-    });
-}
-
-std::string flight_path_from_env() {
-    if (const char* path = std::getenv("BAT_FLIGHT_RECORD_FILE")) {
-        return path;
-    }
-    return {};
 }
 
 // ---- snapshots ------------------------------------------------------------
@@ -431,80 +300,47 @@ void watchdog_loop(Watchdog* dog) {
         const StallReport report = build_stall_report(
             std::chrono::duration_cast<std::chrono::milliseconds>(stalled_for));
         BAT_LOG_ERROR(report.text);
-        std::filesystem::path path = dog->opts.flight_record_path;
-        if (path.empty()) {
-            path = flight_path_from_env();
-        }
-        if (!path.empty()) {
-            dump_flight_record("watchdog", path);
-        }
+        dump_flight_record("watchdog", dog->opts.flight_record_path);
         if (dog->opts.on_stall) {
             dog->opts.on_stall(report);
         }
     }
 }
 
-void start_watchdog_impl(WatchdogOptions opts) {
-    stop_watchdog();
-    HealthState& s = state();
-    std::lock_guard<std::mutex> lock(s.watchdog_mutex);
-    auto* dog = new Watchdog;
-    dog->opts = std::move(opts);
-    s.trips.store(0, std::memory_order_relaxed);
-    s.watchdog = dog;
-    s.watchdog_on.store(true, std::memory_order_relaxed);
-    s.watchdog_armed_ever.store(true, std::memory_order_relaxed);
-    set_span_tracking(true);
-    dog->thread = std::thread([dog] { watchdog_loop(dog); });
-}
-
 }  // namespace
 
 // ---- progress epochs ------------------------------------------------------
 
-void note_progress() { note_progress(thread_log_rank()); }
-
-void note_progress(int rank) {
-    ensure_init();
-    bump(rank);
-}
-
 void note_send(int rank, std::uint64_t bytes) {
-    ensure_init();
     HealthState& s = state();
-    s.sends.fetch_add(1, std::memory_order_relaxed);
-    s.send_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    s.traffic[kSends].fetch_add(1, std::memory_order_relaxed);
+    s.traffic[kSendBytes].fetch_add(bytes, std::memory_order_relaxed);
     bump(rank);
 }
 
 void note_recv(int rank, std::uint64_t bytes) {
-    ensure_init();
     HealthState& s = state();
-    s.recvs.fetch_add(1, std::memory_order_relaxed);
-    s.recv_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    s.traffic[kRecvs].fetch_add(1, std::memory_order_relaxed);
+    s.traffic[kRecvBytes].fetch_add(bytes, std::memory_order_relaxed);
     bump(rank);
 }
 
 void note_collective(int rank) {
-    ensure_init();
-    state().collectives.fetch_add(1, std::memory_order_relaxed);
+    state().traffic[kCollectives].fetch_add(1, std::memory_order_relaxed);
     bump(rank);
 }
 
 void note_pool_task() {
-    ensure_init();
-    state().pool_tasks.fetch_add(1, std::memory_order_relaxed);
+    state().traffic[kPoolTasks].fetch_add(1, std::memory_order_relaxed);
     bump(-1);
 }
 
 void note_leaves_served(int rank, std::uint64_t leaves) {
-    ensure_init();
-    state().leaves_served.fetch_add(leaves, std::memory_order_relaxed);
+    state().traffic[kLeavesServed].fetch_add(leaves, std::memory_order_relaxed);
     bump(rank);
 }
 
 void rank_begin(int rank) {
-    ensure_init();
     slot_for(rank).active.fetch_add(1, std::memory_order_relaxed);
     bump(rank);
 }
@@ -513,11 +349,6 @@ void rank_end(int rank) {
     slot_for(rank).active.fetch_sub(1, std::memory_order_relaxed);
     clear_blocked_op(rank);
     bump(rank);
-}
-
-bool health_armed() {
-    return g_flight_armed.load(std::memory_order_relaxed) ||
-           state().watchdog_on.load(std::memory_order_relaxed);
 }
 
 void set_blocked_op(int rank, const char* op, int peer, int tag) {
@@ -540,7 +371,6 @@ void clear_blocked_op(int rank) {
 // ---- run report -----------------------------------------------------------
 
 void record_rank_value(const char* name, std::uint64_t value) {
-    ensure_init();
     HealthState& s = state();
     const int rank = thread_log_rank();
     std::lock_guard<std::mutex> lock(s.values_mutex);
@@ -548,211 +378,101 @@ void record_rank_value(const char* name, std::uint64_t value) {
 }
 
 std::string run_report_json() {
-    ensure_init();
     HealthState& s = state();
     std::string out;
     out.reserve(1 << 14);
-    out += "{\"schema\":\"bat-report-v1\",\n\"run\":{\"wall_seconds\":";
-    append_double(out, std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - s.start)
-                           .count());
-    out += ",\"ranks\":";
-    out += std::to_string(s.max_rank.load(std::memory_order_relaxed) + 1);
-    out += ",\"pid\":";
-    out += std::to_string(static_cast<long>(::getpid()));
-    out += ",\"watchdog\":{\"armed\":";
-    out += s.watchdog_armed_ever.load(std::memory_order_relaxed) ? "true" : "false";
-    out += ",\"trips\":";
-    append_u64(out, s.trips.load(std::memory_order_relaxed));
-    out += "}},\n";
+    json::Writer w(out);
+    w.begin_object().field("schema", "bat-report-v1");
+    w.key("run").begin_object();
+    w.field("wall_seconds", std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - s.start)
+                                .count());
+    w.field("ranks", s.max_rank.load(std::memory_order_relaxed) + 1);
+    w.field("pid", static_cast<long>(::getpid()));
+    w.key("watchdog").begin_object();
+    w.field("armed", s.watchdog_armed_ever.load(std::memory_order_relaxed));
+    w.field("trips", s.trips.load(std::memory_order_relaxed));
+    w.end_object().end_object();
 
     // Per-phase wall times with per-rank min/mean/max — the imbalance view.
     // Seconds come from the same PhaseSpan accumulation that fills
     // WritePhaseTimings / ReadPhaseTimings, so the two agree exactly.
-    out += "\"phases\":{";
+    std::map<std::string, std::map<int, PhaseAcc>> phases;
     {
-        std::map<std::string, std::map<int, PhaseAcc>> phases;
-        {
-            std::lock_guard<std::mutex> lock(s.phases_mutex);
-            phases = s.phases;
-        }
-        bool first = true;
-        for (const auto& [name, per_rank] : phases) {
-            out += first ? "\n" : ",\n";
-            first = false;
-            out += "  \"";
-            json_escape(out, name);
-            out += "\":{";
-            double sum = 0;
-            double min = 1e300;
-            double max = 0;
-            std::uint64_t calls = 0;
-            for (const auto& [rank, acc] : per_rank) {
-                (void)rank;
-                sum += acc.seconds;
-                min = std::min(min, acc.seconds);
-                max = std::max(max, acc.seconds);
-                calls += acc.calls;
-            }
-            const auto nranks = static_cast<double>(per_rank.size());
-            out += "\"calls\":";
-            append_u64(out, calls);
-            out += ",\"ranks\":";
-            out += std::to_string(per_rank.size());
-            out += ",\"seconds\":";
-            append_double(out, sum);
-            out += ",\"min_s\":";
-            append_double(out, per_rank.empty() ? 0 : min);
-            out += ",\"mean_s\":";
-            append_double(out, per_rank.empty() ? 0 : sum / nranks);
-            out += ",\"max_s\":";
-            append_double(out, max);
-            out += "}";
-        }
-        out += first ? "},\n" : "\n},\n";
+        std::lock_guard<std::mutex> lock(s.phases_mutex);
+        phases = s.phases;
     }
+    w.key("phases").begin_object();
+    for (const auto& [name, per_rank] : phases) {
+        double sum = 0;
+        double min = 1e300;
+        double max = 0;
+        std::uint64_t calls = 0;
+        for (const auto& [rank, acc] : per_rank) {
+            sum += acc.seconds;
+            min = std::min(min, acc.seconds);
+            max = std::max(max, acc.seconds);
+            calls += acc.calls;
+        }
+        const auto nranks = static_cast<double>(per_rank.size());
+        w.key(name).begin_object().field("calls", calls).field("ranks", per_rank.size());
+        w.field("seconds", sum).field("min_s", per_rank.empty() ? 0 : min);
+        w.field("mean_s", per_rank.empty() ? 0 : sum / nranks).field("max_s", max);
+        w.end_object();
+    }
+    w.end_object();
 
     // Per-rank I/O volumes (record_rank_value), same min/mean/max shape.
-    out += "\"io\":{";
+    std::map<std::string, std::map<int, std::uint64_t>> values;
     {
-        std::map<std::string, std::map<int, std::uint64_t>> values;
-        {
-            std::lock_guard<std::mutex> lock(s.values_mutex);
-            values = s.rank_values;
-        }
-        bool first = true;
-        for (const auto& [name, per_rank] : values) {
-            out += first ? "\n" : ",\n";
-            first = false;
-            out += "  \"";
-            json_escape(out, name);
-            out += "\":{";
-            std::uint64_t sum = 0;
-            std::uint64_t min = ~std::uint64_t{0};
-            std::uint64_t max = 0;
-            for (const auto& [rank, v] : per_rank) {
-                (void)rank;
-                sum += v;
-                min = std::min(min, v);
-                max = std::max(max, v);
-            }
-            out += "\"total\":";
-            append_u64(out, sum);
-            out += ",\"ranks\":";
-            out += std::to_string(per_rank.size());
-            out += ",\"min\":";
-            append_u64(out, per_rank.empty() ? 0 : min);
-            out += ",\"mean\":";
-            append_double(out, per_rank.empty()
-                                   ? 0
-                                   : static_cast<double>(sum) /
-                                         static_cast<double>(per_rank.size()));
-            out += ",\"max\":";
-            append_u64(out, max);
-            out += "}";
-        }
-        out += first ? "},\n" : "\n},\n";
+        std::lock_guard<std::mutex> lock(s.values_mutex);
+        values = s.rank_values;
     }
+    w.key("io").begin_object();
+    for (const auto& [name, per_rank] : values) {
+        std::uint64_t sum = 0;
+        std::uint64_t min = ~std::uint64_t{0};
+        std::uint64_t max = 0;
+        for (const auto& [rank, v] : per_rank) {
+            sum += v;
+            min = std::min(min, v);
+            max = std::max(max, v);
+        }
+        w.key(name).begin_object().field("total", sum).field("ranks", per_rank.size());
+        w.field("min", per_rank.empty() ? 0 : min);
+        w.field("mean", per_rank.empty() ? 0.0
+                                         : static_cast<double>(sum) /
+                                               static_cast<double>(per_rank.size()));
+        w.field("max", max).end_object();
+    }
+    w.end_object();
 
-    out += "\"messages\":{\"sends\":";
-    append_u64(out, s.sends.load(std::memory_order_relaxed));
-    out += ",\"send_bytes\":";
-    append_u64(out, s.send_bytes.load(std::memory_order_relaxed));
-    out += ",\"recvs\":";
-    append_u64(out, s.recvs.load(std::memory_order_relaxed));
-    out += ",\"recv_bytes\":";
-    append_u64(out, s.recv_bytes.load(std::memory_order_relaxed));
-    out += ",\"collectives\":";
-    append_u64(out, s.collectives.load(std::memory_order_relaxed));
-    out += ",\"leaves_served\":";
-    append_u64(out, s.leaves_served.load(std::memory_order_relaxed));
-    out += "},\n";
-
-    out += "\"pool\":{\"tasks\":";
-    append_u64(out, s.pool_tasks.load(std::memory_order_relaxed));
-    out += "},\n";
+    w.key("messages").begin_object();
+    for (int i = 0; i < kPoolTasks; ++i) {
+        w.field(kTrafficNames[i], s.traffic[i].load(std::memory_order_relaxed));
+    }
+    const std::uint64_t tasks = s.traffic[kPoolTasks].load(std::memory_order_relaxed);
+    w.end_object().key("pool").begin_object().field("tasks", tasks).end_object();
 
     // Cache hit rate from the obs counters the leaf cache records.
-    const auto counters = MetricsRegistry::global().counter_values();
+    MetricsRegistry& metrics = MetricsRegistry::global();
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    for (const auto& [name, v] : counters) {
+    for (const auto& [name, v] : metrics.counter_values()) {
         if (name == "read.leaf_cache_hit") {
             hits = v;
         } else if (name == "read.leaf_cache_miss") {
             misses = v;
         }
     }
-    out += "\"cache\":{\"hits\":";
-    append_u64(out, hits);
-    out += ",\"misses\":";
-    append_u64(out, misses);
-    out += ",\"hit_rate\":";
-    append_double(out, hits + misses == 0
-                           ? 0
-                           : static_cast<double>(hits) /
-                                 static_cast<double>(hits + misses));
-    out += "},\n";
-
-    out += "\"counters\":{";
-    bool first = true;
-    for (const auto& [name, v] : counters) {
-        out += first ? "" : ",";
-        first = false;
-        out += "\"";
-        json_escape(out, name);
-        out += "\":";
-        append_u64(out, v);
-    }
-    out += "},\n\"gauges\":{";
-    first = true;
-    for (const auto& [name, v] : MetricsRegistry::global().gauge_values()) {
-        out += first ? "" : ",";
-        first = false;
-        out += "\"";
-        json_escape(out, name);
-        out += "\":";
-        append_double(out, v);
-    }
-    out += "},\n\"histograms\":{";
-    first = true;
-    for (const auto& h : MetricsRegistry::global().histogram_snapshots()) {
-        out += first ? "" : ",";
-        first = false;
-        out += "\"";
-        json_escape(out, h.name);
-        out += "\":{\"count\":";
-        append_u64(out, h.count);
-        out += ",\"mean\":";
-        append_double(out, h.mean);
-        out += ",\"min\":";
-        append_double(out, h.min);
-        out += ",\"max\":";
-        append_double(out, h.max);
-        out += ",\"p50\":";
-        append_double(out, h.p50);
-        out += ",\"p90\":";
-        append_double(out, h.p90);
-        out += ",\"p99\":";
-        append_double(out, h.p99);
-        out += "}";
-    }
-    out += "}\n}\n";
+    w.key("cache").begin_object().field("hits", hits).field("misses", misses);
+    w.field("hit_rate", hits + misses == 0 ? 0.0
+                                           : static_cast<double>(hits) /
+                                                 static_cast<double>(hits + misses));
+    w.end_object();
+    metrics.write_members(w);  // counters, gauges, histograms
+    w.end_object();
     return out;
-}
-
-bool write_run_report(const std::filesystem::path& path) {
-    const std::string expanded = expand_output_path(path.string());
-    std::ofstream f(expanded, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        BAT_LOG_ERROR("run report: cannot open " << expanded);
-        return false;
-    }
-    const std::string json = run_report_json();
-    f.write(json.data(), static_cast<std::streamsize>(json.size()));
-    BAT_LOG_INFO("run report written to " << expanded << " (" << json.size()
-                                          << " bytes)");
-    return true;
 }
 
 void reset_run_report() {
@@ -765,25 +485,29 @@ void reset_run_report() {
         std::lock_guard<std::mutex> lock(s.values_mutex);
         s.rank_values.clear();
     }
-    s.sends.store(0, std::memory_order_relaxed);
-    s.send_bytes.store(0, std::memory_order_relaxed);
-    s.recvs.store(0, std::memory_order_relaxed);
-    s.recv_bytes.store(0, std::memory_order_relaxed);
-    s.collectives.store(0, std::memory_order_relaxed);
-    s.leaves_served.store(0, std::memory_order_relaxed);
-    s.pool_tasks.store(0, std::memory_order_relaxed);
+    for (auto& t : s.traffic) {
+        t.store(0, std::memory_order_relaxed);
+    }
     s.trips.store(0, std::memory_order_relaxed);
-    s.watchdog_armed_ever.store(s.watchdog_on.load(std::memory_order_relaxed),
-                                std::memory_order_relaxed);
+    s.watchdog_armed_ever.store(watchdog_running(), std::memory_order_relaxed);
     s.start = std::chrono::steady_clock::now();
 }
 
 // ---- watchdog -------------------------------------------------------------
 
 void start_watchdog(WatchdogOptions opts) {
-    ensure_init();
-    start_watchdog_impl(std::move(opts));
+    stop_watchdog();
+    HealthState& s = state();
+    std::lock_guard<std::mutex> lock(s.watchdog_mutex);
+    auto* dog = new Watchdog;
+    dog->opts = std::move(opts);
+    s.trips.store(0, std::memory_order_relaxed);
+    s.watchdog = dog;
+    set_component(kWatchdog, true);
+    s.watchdog_armed_ever.store(true, std::memory_order_relaxed);
+    dog->thread = std::thread([dog] { watchdog_loop(dog); });
 }
+
 
 void stop_watchdog() {
     HealthState& s = state();
@@ -792,12 +516,7 @@ void stop_watchdog() {
         std::lock_guard<std::mutex> lock(s.watchdog_mutex);
         dog = s.watchdog;
         s.watchdog = nullptr;
-        s.watchdog_on.store(false, std::memory_order_relaxed);
-        // Span tracking is shared: the flight recorder and the sampling
-        // profiler both depend on it staying on past watchdog shutdown.
-        if (!g_flight_armed.load(std::memory_order_relaxed) && !profiler_running()) {
-            set_span_tracking(false);
-        }
+        set_component(kWatchdog, false);
     }
     if (dog == nullptr) {
         return;
@@ -811,9 +530,7 @@ void stop_watchdog() {
     delete dog;
 }
 
-bool watchdog_running() {
-    return state().watchdog_on.load(std::memory_order_relaxed);
-}
+bool watchdog_running() { return (components() & kWatchdog) != 0; }
 
 std::uint64_t watchdog_trips() {
     return state().trips.load(std::memory_order_relaxed);
@@ -822,115 +539,66 @@ std::uint64_t watchdog_trips() {
 // ---- flight recorder ------------------------------------------------------
 
 std::string flight_record_json(const std::string& reason) {
-    ensure_init();
     HealthState& s = state();
     std::string out;
     out.reserve(1 << 14);
-    out += "{\"schema\":\"bat-flight-v1\",\"reason\":\"";
-    json_escape(out, reason);
-    out += "\",\"pid\":";
-    out += std::to_string(static_cast<long>(::getpid()));
-    out += ",\"wall_seconds\":";
-    append_double(out, std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - s.start)
-                           .count());
-    out += ",\"watchdog_trips\":";
-    append_u64(out, s.trips.load(std::memory_order_relaxed));
-    out += ",\n\"stuck_ranks\":[";
+    json::Writer w(out);
+    w.begin_object().field("schema", "bat-flight-v1").field("reason", reason);
+    w.field("pid", static_cast<long>(::getpid()));
+    w.field("wall_seconds", std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - s.start)
+                                .count());
+    w.field("watchdog_trips", s.trips.load(std::memory_order_relaxed));
     const std::vector<RankSnapshot> ranks = snapshot_ranks();
-    bool first = true;
+    w.key("stuck_ranks").begin_array();
     for (const RankSnapshot& r : ranks) {
-        if (!r.active) {
-            continue;
+        if (r.active) {
+            w.value(r.rank);
         }
-        out += first ? "" : ",";
-        first = false;
-        out += std::to_string(r.rank);
     }
-    out += "],\n\"ranks\":[";
-    first = true;
+    w.end_array().key("ranks").begin_array();
     for (const RankSnapshot& r : ranks) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "  {\"rank\":";
-        out += std::to_string(r.rank);
-        out += ",\"active\":";
-        out += r.active ? "true" : "false";
-        out += ",\"epoch\":";
-        append_u64(out, r.epoch);
-        out += ",\"blocked_on\":\"";
-        json_escape(out, r.blocked_on);
-        out += "\"}";
+        w.begin_object().field("rank", r.rank).field("active", r.active);
+        w.field("epoch", r.epoch).field("blocked_on", r.blocked_on).end_object();
     }
-    out += first ? "],\n" : "\n],\n";
-
-    out += "\"threads\":[";
-    first = true;
+    w.end_array().key("threads").begin_array();
     for (const ThreadSpanStack& st : snapshot_span_stacks()) {
-        if (st.spans.empty()) {
-            continue;
+        w.begin_object().field("rank", st.rank).key("spans").begin_array();
+        for (const std::string& span : st.spans) {
+            w.value(span);
         }
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "  {\"rank\":";
-        out += std::to_string(st.rank);
-        out += ",\"spans\":[";
-        for (std::size_t i = 0; i < st.spans.size(); ++i) {
-            out += i == 0 ? "\"" : ",\"";
-            json_escape(out, st.spans[i]);
-            out += "\"";
-        }
-        out += "]}";
+        w.end_array().end_object();
     }
-    out += first ? "],\n" : "\n],\n";
-
-    out += "\"subsystems\":[";
-    first = true;
-    for_each_provider([&out, &first](const DiagProvider& p) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "  {\"name\":\"";
-        json_escape(out, p.name);
-        out += "\",\"state\":";
+    w.end_array().key("subsystems").begin_array();
+    for_each_provider([&w](const DiagProvider& p) {
+        w.begin_object().field("name", p.name).key("state");
         try {
-            out += p.fn();
+            w.raw(p.fn());
         } catch (const std::exception& e) {
-            out += "{\"error\":\"";
-            json_escape(out, e.what());
-            out += "\"}";
+            w.begin_object().field("error", e.what()).end_object();
         }
-        out += "}";
+        w.end_object();
     });
-    out += first ? "],\n" : "\n],\n";
-
     // Tail of each thread's trace ring (empty array when tracing never ran).
-    out += "\"trace_tail\":";
-    out += trace_tail_json(256);
-    out += ",\n\"metrics\":";
-    out += MetricsRegistry::global().to_json();
-    out += "}\n";
+    w.end_array().key("trace_tail").raw(trace_tail_json(256));
+    w.key("metrics").raw(MetricsRegistry::global().to_json());
+    w.end_object();
     return out;
 }
 
 bool dump_flight_record(const std::string& reason, const std::filesystem::path& path) {
-    std::string target = path.string();
+    std::filesystem::path target = path;
     if (target.empty()) {
-        target = flight_path_from_env();
+        if (bundle_dir().empty()) {
+            return false;
+        }
+        std::error_code ec;
+        std::filesystem::create_directories(bundle_dir(), ec);
+        const std::uint64_t n = state().flight_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+        target = bundle_dir() / ("flight-" + std::to_string(n) + ".json");
     }
-    if (target.empty()) {
-        return false;
-    }
-    const std::string expanded = expand_output_path(target);
-    std::ofstream f(expanded, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        BAT_LOG_ERROR("flight record: cannot open " << expanded);
-        return false;
-    }
-    const std::string json = flight_record_json(reason);
-    f.write(json.data(), static_cast<std::streamsize>(json.size()));
-    f.flush();
-    BAT_LOG_WARN("flight record (" << reason << ") written to " << expanded);
-    return true;
+    BAT_LOG_WARN("flight record: " << reason);
+    return write_document(target, flight_record_json(reason));
 }
 
 // ---- diag providers -------------------------------------------------------
@@ -951,95 +619,19 @@ void unregister_diag_provider(std::uint64_t id) {
                       s.providers.end());
 }
 
-// ---- span stacks ----------------------------------------------------------
-
-bool span_tracking_enabled() {
-    return g_span_tracking.load(std::memory_order_relaxed);
-}
-
-void set_span_tracking(bool on) {
-    g_span_tracking.store(on, std::memory_order_relaxed);
-}
-
-std::vector<ThreadSpanStack> snapshot_span_stacks() {
-    HealthState& s = state();
-    std::vector<SpanStack*> stacks;
-    {
-        std::lock_guard<std::mutex> lock(s.stacks_mutex);
-        stacks = s.stacks;
-    }
-    std::vector<ThreadSpanStack> out;
-    for (const SpanStack* st : stacks) {
-        const int depth =
-            std::min(st->depth.load(std::memory_order_acquire), SpanStack::kMaxDepth);
-        if (depth <= 0) {
-            continue;
-        }
-        ThreadSpanStack snap;
-        snap.rank = st->rank.load(std::memory_order_relaxed);
-        for (int i = 0; i < depth; ++i) {
-            if (const char* name = st->names[i].load(std::memory_order_relaxed)) {
-                snap.spans.emplace_back(name);
-            }
-        }
-        out.push_back(std::move(snap));
-    }
-    return out;
-}
-
 namespace health_detail {
 
-void push_span(const char* name) {
-    SpanStack& st = thread_span_stack();
-    const int d = st.depth.load(std::memory_order_relaxed);
-    if (d < SpanStack::kMaxDepth) {
-        st.names[d].store(name, std::memory_order_relaxed);
+void install_fatal_signal_handlers() {
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = fatal_signal_handler;
+    sigemptyset(&sa.sa_mask);
+    for (std::size_t i = 0; i < std::size(kFatalSignals); ++i) {
+        sigaction(kFatalSignals[i].first, &sa, &g_old_actions[i]);
     }
-    st.rank.store(thread_log_rank(), std::memory_order_relaxed);
-    st.depth.store(d + 1, std::memory_order_release);
-}
-
-void pop_span() {
-    SpanStack& st = thread_span_stack();
-    const int d = st.depth.load(std::memory_order_relaxed);
-    if (d > 0) {
-        st.depth.store(d - 1, std::memory_order_release);
-    }
-}
-
-void ensure_span_stack() { thread_span_stack(); }
-
-int read_own_span_stack(const char** out, int max) {
-    const SpanStack* st = t_span_stack;
-    if (st == nullptr || max <= 0) {
-        return 0;
-    }
-    int depth = st->depth.load(std::memory_order_acquire);
-    depth = std::min({depth, SpanStack::kMaxDepth, max});
-    int n = 0;
-    for (int i = 0; i < depth; ++i) {
-        if (const char* name = st->names[i].load(std::memory_order_relaxed)) {
-            out[n++] = name;
-        }
-    }
-    return n;
-}
-
-const char* innermost_span() {
-    const SpanStack* st = t_span_stack;
-    if (st == nullptr) {
-        return nullptr;
-    }
-    const int depth =
-        std::min(st->depth.load(std::memory_order_acquire), SpanStack::kMaxDepth);
-    if (depth <= 0) {
-        return nullptr;
-    }
-    return st->names[depth - 1].load(std::memory_order_relaxed);
 }
 
 void record_phase(const char* name, double seconds) {
-    ensure_init();
     HealthState& s = state();
     const int rank = thread_log_rank();
     {

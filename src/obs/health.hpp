@@ -4,25 +4,18 @@
 //
 // Three facilities share one progress-epoch table:
 //
-//   - RunReport: near-zero-cost per-run I/O characterization. Phase wall
-//     times arrive through obs::PhaseSpan (the same accumulation that fills
-//     WritePhaseTimings / ReadPhaseTimings, so the report and the structs
-//     agree by construction), message counts/bytes through the vmpi hooks,
-//     per-rank volumes through record_rank_value. Emitted at exit as
-//     bat-report-v1 JSON when BAT_REPORT_FILE is set; pretty-printed by
-//     tools/bat_report.
-//
-//   - Stall watchdog: every vmpi send/recv/collective completion, leaf
-//     serving job, pool task, and phase completion bumps a per-rank progress
-//     epoch (a relaxed atomic increment). A monitor thread — armed by
-//     BAT_WATCHDOG_SEC=N or start_watchdog() — declares a stall when no
-//     active rank makes progress for `stale_intervals` consecutive
-//     intervals, then logs which ranks are stuck, what they are blocked on,
-//     their open span stacks, in-flight messages, and pool queue depths.
-//
-//   - Flight recorder: the same diagnostic snapshot plus the tail of the
-//     thread-local trace rings, written as JSON on watchdog trip, fatal
-//     signal (handlers installed when BAT_FLIGHT_RECORD_FILE is set), or an
+//   - Run report (bat-report-v1, BAT_OBS=report): phase wall times from
+//     obs::PhaseSpan (the accumulation that fills WritePhaseTimings /
+//     ReadPhaseTimings, so the two agree by construction), message counts
+//     and bytes from the vmpi hooks, per-rank volumes from
+//     record_rank_value, plus the metrics registry.
+//   - Stall watchdog (BAT_OBS=watchdog or start_watchdog()): every vmpi
+//     completion, served leaf, pool task and phase close bumps a per-rank
+//     epoch (a relaxed increment). When no active rank moves for
+//     `stale_intervals` intervals, it logs the stuck ranks, what they are
+//     blocked on, open span stacks, in-flight messages and pool depths.
+//   - Flight recorder: the same snapshot plus the trace-ring tails, written
+//     on watchdog trip, fatal signal (whenever BAT_OBS is set), or an
 //     explicit dump_flight_record() call.
 //
 // obs stays independent of vmpi and io: those layers call *into* this one
@@ -35,16 +28,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/runtime.hpp"
+
 namespace bat::obs {
 
 // ---- progress epochs ------------------------------------------------------
 
-/// Bump the calling thread's rank epoch (rank-less threads share a process
-/// slot). One relaxed atomic increment; safe to call from any thread.
-void note_progress();
-void note_progress(int rank);
-
-/// Progress + message accounting for the report's traffic section.
+/// Progress + message accounting for the report's traffic section: each
+/// call bumps the rank's epoch (rank-less threads share a process slot) with
+/// relaxed atomic increments; safe from any thread.
 void note_send(int rank, std::uint64_t bytes);
 void note_recv(int rank, std::uint64_t bytes);
 void note_collective(int rank);
@@ -56,9 +48,9 @@ void note_leaves_served(int rank, std::uint64_t leaves);
 void rank_begin(int rank);
 void rank_end(int rank);
 
-/// True while the watchdog or flight recorder is armed; callers use this to
-/// gate building the (string) descriptions behind set_blocked_on.
-bool health_armed();
+/// True while the watchdog or flight recorder is armed; the vmpi wait path
+/// records blocked-on ops only then.
+inline bool health_armed() { return (components() & (kWatchdog | kFlight)) != 0; }
 
 /// Record/clear what `rank` is currently blocked on, shown in stall
 /// diagnoses and flight records ("irecv(src=0, tag=7)", "ibarrier(seq=3)").
@@ -76,9 +68,6 @@ void record_rank_value(const char* name, std::uint64_t value);
 /// Build the bat-report-v1 JSON document from the current process state.
 std::string run_report_json();
 
-/// Write run_report_json() to `path` ("%p" expands to the pid).
-bool write_run_report(const std::filesystem::path& path);
-
 /// Drop all report accumulators (phases, messages, rank values) and reset
 /// watchdog trip counts — tests and repeated benchmark runs.
 void reset_run_report();
@@ -91,19 +80,19 @@ struct StallReport {
 };
 
 struct WatchdogOptions {
-    std::chrono::milliseconds interval{10'000};
+    std::chrono::milliseconds interval{120'000};
     /// Consecutive no-progress intervals before declaring a stall; 2 avoids
     /// tripping on a single long compute phase straddling one check.
     int stale_intervals = 2;
     /// Called on every trip, after logging and the flight-record dump.
     std::function<void(const StallReport&)> on_stall;
-    /// Flight-record destination on trip; empty falls back to
-    /// BAT_FLIGHT_RECORD_FILE (no dump when neither is set).
+    /// Flight-record destination on trip; empty falls back to the run
+    /// bundle (no dump when BAT_OBS is unset).
     std::filesystem::path flight_record_path;
 };
 
 /// Start the monitor thread (idempotent: a running watchdog is stopped
-/// first). Also enables span-stack tracking and blocked-on recording.
+/// first). While it runs, span stacks and blocked-on ops are recorded.
 void start_watchdog(WatchdogOptions opts = {});
 /// Stop and join the monitor thread; no-op when not running.
 void stop_watchdog();
@@ -117,9 +106,9 @@ std::uint64_t watchdog_trips();
 /// stacks, subsystem diag providers, trace-ring tails, and metrics.
 std::string flight_record_json(const std::string& reason);
 
-/// Write flight_record_json() to `path`, or to BAT_FLIGHT_RECORD_FILE when
-/// `path` is empty ("%p" expands to the pid). Returns false when no
-/// destination is configured.
+/// Write flight_record_json() to `path` ("%p" expands to the pid), or as
+/// flight-<n>.json into the run bundle when `path` is empty. Returns false
+/// when no destination is configured.
 bool dump_flight_record(const std::string& reason = "explicit",
                         const std::filesystem::path& path = {});
 
@@ -136,43 +125,13 @@ bool dump_flight_record(const std::string& reason = "explicit",
 std::uint64_t register_diag_provider(std::string name, std::function<std::string()> fn);
 void unregister_diag_provider(std::uint64_t id);
 
-// ---- span-stack tracking (SpanScope / PhaseSpan hooks) ---------------------
-
-/// True while open-span stacks are being tracked (armed with the watchdog /
-/// flight recorder); the disabled path in SpanScope is one relaxed load.
-bool span_tracking_enabled();
-void set_span_tracking(bool on);
-
-struct ThreadSpanStack {
-    int rank = -1;
-    std::vector<std::string> spans;  // outermost first
-};
-/// Snapshot every tracked thread's open spans (lock-free reads; a stack
-/// mutating mid-snapshot yields a truncated, never torn, view).
-std::vector<ThreadSpanStack> snapshot_span_stacks();
-
 namespace health_detail {
-/// Called by SpanScope/PhaseSpan when span_tracking_enabled(); `name` must
-/// be a string literal (the pointer is stored, not the contents).
-void push_span(const char* name);
-void pop_span();
 /// Called by every PhaseSpan::close(), tracing on or off: accumulates the
 /// phase's wall seconds into the report under the calling thread's rank.
 void record_phase(const char* name, double seconds);
-
-/// Force the calling thread's span stack into existence (takes the registry
-/// lock). The profiler calls this at thread registration so the two readers
-/// below never allocate.
-void ensure_span_stack();
-/// Copy the calling thread's open-span labels (outermost first) into `out`,
-/// up to `max`; returns the count. Async-signal-safe: reads a
-/// constant-initialized thread_local pointer and relaxed atomics only, and
-/// never creates the stack — an unregistered thread reads 0.
-int read_own_span_stack(const char** out, int max);
-/// The calling thread's innermost open span label, or null. Same safety
-/// contract as read_own_span_stack; used by the thread pool to stamp tasks
-/// with their enqueue-site origin.
-const char* innermost_span();
+/// Dump a flight record on SEGV/ABRT/BUS/FPE/ILL, then re-raise through the
+/// previous handlers (installed by the arming point).
+void install_fatal_signal_handlers();
 }  // namespace health_detail
 
 }  // namespace bat::obs

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -69,23 +71,16 @@ private:
                 return v;
             }
             case 't':
-            case 'f': {
-                Value v;
-                v.kind = Value::Kind::boolean;
-                if (consume_literal("true")) {
-                    v.bool_v = true;
-                } else if (consume_literal("false")) {
-                    v.bool_v = false;
-                } else {
-                    fail("invalid literal");
-                }
-                return v;
-            }
+            case 'f':
             case 'n': {
-                if (!consume_literal("null")) {
+                const char c = peek();
+                if (!consume_literal(c == 't' ? "true" : c == 'f' ? "false" : "null")) {
                     fail("invalid literal");
                 }
-                return Value{};
+                Value v;
+                v.kind = c == 'n' ? Value::Kind::null : Value::Kind::boolean;
+                v.bool_v = c == 't';
+                return v;
             }
             default: return parse_number();
         }
@@ -247,5 +242,40 @@ const Value* Value::find(std::string_view key) const {
 }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+void append_string(std::string& out, std::string_view s) {
+    out += '"';
+    for (const char c : s) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char hex[8];
+                    std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+                    out += hex;
+                } else {
+                    out += c;
+                }
+        }
+    }
+    out += '"';
+}
+
+void append_number(std::string& out, double v) {
+    char num[32];
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    if (v == std::trunc(v) && std::fabs(v) < 1e15) {
+        std::snprintf(num, sizeof(num), "%lld", static_cast<long long>(v));
+    } else {
+        std::snprintf(num, sizeof(num), "%.15g", v);
+    }
+    out += num;
+}
 
 }  // namespace bat::obs::json

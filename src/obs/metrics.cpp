@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "sched/sched.hpp"
-#include "util/buffer.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -102,50 +100,7 @@ double Histogram::percentile(double q) const {
     return percentile_impl(bounds_, counts, stats, q);
 }
 
-void Histogram::merge_from(const Histogram& other) {
-    // Snapshot the source first so the two locks never overlap.
-    std::vector<std::uint64_t> other_counts = other.bucket_counts();
-    const RunningStats other_stats = other.stats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    BAT_CHECK_MSG(other_counts.size() == counts_.size(),
-                  "histogram merge with mismatched bucket layout");
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        counts_[i] += other_counts[i];
-    }
-    stats_.merge(other_stats);
-}
-
 // ---- MetricsRegistry ------------------------------------------------------
-
-MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept {
-    std::lock_guard<CheckedMutex> lock(other.mutex_);
-    counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
-}
-
-MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
-    if (this != &other) {
-        // Two sequential critical sections instead of one scoped_lock:
-        // holding two instances of the same CheckedMutex class at once is a
-        // lock-order violation, and a registry being moved from has no
-        // concurrent users anyway.
-        std::map<std::string, std::unique_ptr<Counter>> counters;
-        std::map<std::string, std::unique_ptr<Gauge>> gauges;
-        std::map<std::string, std::unique_ptr<Histogram>> histograms;
-        {
-            std::lock_guard<CheckedMutex> lock(other.mutex_);
-            counters = std::move(other.counters_);
-            gauges = std::move(other.gauges_);
-            histograms = std::move(other.histograms_);
-        }
-        std::lock_guard<CheckedMutex> lock(mutex_);
-        counters_ = std::move(counters);
-        gauges_ = std::move(gauges);
-        histograms_ = std::move(histograms);
-    }
-    return *this;
-}
 
 MetricsRegistry& MetricsRegistry::global() {
     static MetricsRegistry registry;
@@ -209,43 +164,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     return *slot;
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-    // Snapshot the other registry's entry pointers under its lock; entries
-    // are never deleted while the registry is alive, so recording into them
-    // afterwards is safe.
-    std::vector<std::pair<std::string, const Counter*>> counters;
-    std::vector<std::pair<std::string, const Gauge*>> gauges;
-    std::vector<std::pair<std::string, const Histogram*>> histograms;
-    {
-        std::lock_guard<CheckedMutex> lock(other.mutex_);
-        for (const auto& [name, c] : other.counters_) {
-            counters.emplace_back(name, c.get());
-        }
-        for (const auto& [name, g] : other.gauges_) {
-            gauges.emplace_back(name, g.get());
-        }
-        for (const auto& [name, h] : other.histograms_) {
-            histograms.emplace_back(name, h.get());
-        }
-    }
-    for (const auto& [name, c] : counters) {
-        counter(name).add(c->value());
-    }
-    for (const auto& [name, g] : gauges) {
-        Gauge& mine = gauge(name);
-        mine.set(std::max(mine.value(), g->value()));
-    }
-    for (const auto& [name, h] : histograms) {
-        histogram(name, h->bounds()).merge_from(*h);
-    }
-}
-
-bool MetricsRegistry::empty() const {
-    std::lock_guard<CheckedMutex> lock(mutex_);
-    note_registry_access(this, /*is_write=*/false);
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-}
-
 void MetricsRegistry::clear() {
     std::lock_guard<CheckedMutex> lock(mutex_);
     note_registry_access(this, /*is_write=*/true);
@@ -266,210 +184,50 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counter_valu
     return out;
 }
 
-std::vector<std::pair<std::string, double>> MetricsRegistry::gauge_values() const {
+void MetricsRegistry::write_members(json::Writer& w) const {
     std::lock_guard<CheckedMutex> lock(mutex_);
-    note_registry_access(this, /*is_write=*/false);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(gauges_.size());
+    w.key("counters").begin_object();
+    for (const auto& [name, c] : counters_) {
+        w.field(name, c->value());
+    }
+    w.end_object().key("gauges").begin_object();
     for (const auto& [name, g] : gauges_) {
-        out.emplace_back(name, g->value());
+        w.field(name, g->value());
     }
-    return out;
-}
-
-std::vector<MetricsRegistry::HistogramSnapshot> MetricsRegistry::histogram_snapshots()
-    const {
-    std::vector<std::pair<std::string, const Histogram*>> entries;
-    {
-        std::lock_guard<CheckedMutex> lock(mutex_);
-        note_registry_access(this, /*is_write=*/false);
-        entries.reserve(histograms_.size());
-        for (const auto& [name, h] : histograms_) {
-            entries.emplace_back(name, h.get());
-        }
-    }
-    // Entries outlive the registry lock; each stats() takes the histogram's
-    // own mutex (registry lock released first, same order as merge()).
-    std::vector<HistogramSnapshot> out;
-    out.reserve(entries.size());
-    for (const auto& [name, h] : entries) {
+    w.end_object().key("histograms").begin_object();
+    for (const auto& [name, h] : histograms_) {
         const RunningStats stats = h->stats();
-        HistogramSnapshot snap;
-        snap.name = name;
-        snap.count = static_cast<std::uint64_t>(stats.count());
-        snap.mean = stats.mean();
-        snap.min = stats.min();
-        snap.max = stats.max();
-        snap.p50 = h->percentile(0.50);
-        snap.p90 = h->percentile(0.90);
-        snap.p99 = h->percentile(0.99);
-        out.push_back(std::move(snap));
-    }
-    return out;
-}
-
-namespace {
-
-void append_number(std::string& out, double v) {
-    char num[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-        std::snprintf(num, sizeof(num), "%lld", static_cast<long long>(v));
-    } else {
-        std::snprintf(num, sizeof(num), "%.9g", v);
-    }
-    out += num;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
+        const std::vector<std::uint64_t> counts = h->bucket_counts();
+        const std::vector<double>& bounds = h->bounds();
+        w.key(name).begin_object();
+        w.field("count", stats.count()).field("mean", stats.mean());
+        w.field("stddev", stats.stddev()).field("min", stats.min());
+        w.field("max", stats.max());
+        w.field("p50", percentile_impl(bounds, counts, stats, 0.50));
+        w.field("p90", percentile_impl(bounds, counts, stats, 0.90));
+        w.field("p99", percentile_impl(bounds, counts, stats, 0.99));
+        w.key("buckets").begin_array();
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            w.begin_object();
+            if (i < bounds.size()) {
+                w.field("le", bounds[i]);
+            } else {
+                w.field("le", "inf");
+            }
+            w.field("count", counts[i]).end_object();
         }
-        out += c;
+        w.end_array().end_object();
     }
+    w.end_object();
 }
-
-}  // namespace
 
 std::string MetricsRegistry::to_json() const {
-    std::lock_guard<CheckedMutex> lock(mutex_);
-    std::string out = "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto& [name, c] : counters_) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    \"";
-        json_escape_into(out, name);
-        out += "\": ";
-        out += std::to_string(c->value());
-    }
-    out += first ? "},\n" : "\n  },\n";
-    out += "  \"gauges\": {";
-    first = true;
-    for (const auto& [name, g] : gauges_) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    \"";
-        json_escape_into(out, name);
-        out += "\": ";
-        append_number(out, g->value());
-    }
-    out += first ? "},\n" : "\n  },\n";
-    out += "  \"histograms\": {";
-    first = true;
-    for (const auto& [name, h] : histograms_) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        const RunningStats stats = h->stats();
-        const std::vector<std::uint64_t> counts = h->bucket_counts();
-        out += "    \"";
-        json_escape_into(out, name);
-        out += "\": {\"count\": " + std::to_string(stats.count());
-        out += ", \"mean\": ";
-        append_number(out, stats.mean());
-        out += ", \"stddev\": ";
-        append_number(out, stats.stddev());
-        out += ", \"min\": ";
-        append_number(out, stats.min());
-        out += ", \"max\": ";
-        append_number(out, stats.max());
-        out += ", \"p50\": ";
-        append_number(out, percentile_impl(h->bounds(), counts, stats, 0.50));
-        out += ", \"p90\": ";
-        append_number(out, percentile_impl(h->bounds(), counts, stats, 0.90));
-        out += ", \"p99\": ";
-        append_number(out, percentile_impl(h->bounds(), counts, stats, 0.99));
-        out += ", \"buckets\": [";
-        const std::vector<double>& bounds = h->bounds();
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            if (i > 0) {
-                out += ", ";
-            }
-            out += "{\"le\": ";
-            if (i < bounds.size()) {
-                append_number(out, bounds[i]);
-            } else {
-                out += "\"inf\"";
-            }
-            out += ", \"count\": " + std::to_string(counts[i]) + "}";
-        }
-        out += "]}";
-    }
-    out += first ? "}\n}\n" : "\n  }\n}\n";
+    std::string out;
+    json::Writer w(out);
+    w.begin_object();
+    write_members(w);
+    w.end_object();
     return out;
-}
-
-void MetricsRegistry::write_json(const std::filesystem::path& path) const {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        BAT_LOG_ERROR("metrics export: cannot open " << path.string());
-        return;
-    }
-    const std::string json = to_json();
-    f.write(json.data(), static_cast<std::streamsize>(json.size()));
-}
-
-std::vector<std::byte> MetricsRegistry::to_bytes() const {
-    std::lock_guard<CheckedMutex> lock(mutex_);
-    BufferWriter w;
-    w.write(static_cast<std::uint32_t>(counters_.size()));
-    for (const auto& [name, c] : counters_) {
-        w.write_string(name);
-        w.write(c->value());
-    }
-    w.write(static_cast<std::uint32_t>(gauges_.size()));
-    for (const auto& [name, g] : gauges_) {
-        w.write_string(name);
-        w.write(g->value());
-    }
-    w.write(static_cast<std::uint32_t>(histograms_.size()));
-    for (const auto& [name, h] : histograms_) {
-        w.write_string(name);
-        const RunningStats stats = h->stats();
-        const std::vector<std::uint64_t> counts = h->bucket_counts();
-        w.write(static_cast<std::uint32_t>(h->bounds().size()));
-        w.write_span(std::span<const double>(h->bounds()));
-        w.write_span(std::span<const std::uint64_t>(counts));
-        w.write(static_cast<std::uint64_t>(stats.count()));
-        w.write(stats.mean());
-        w.write(stats.m2());
-        w.write(stats.min());
-        w.write(stats.max());
-    }
-    return w.take();
-}
-
-MetricsRegistry MetricsRegistry::from_bytes(std::span<const std::byte> bytes) {
-    MetricsRegistry reg;
-    BufferReader r(bytes);
-    const auto ncounters = r.read<std::uint32_t>();
-    for (std::uint32_t i = 0; i < ncounters; ++i) {
-        const std::string name = r.read_string();
-        reg.counter(name).add(r.read<std::uint64_t>());
-    }
-    const auto ngauges = r.read<std::uint32_t>();
-    for (std::uint32_t i = 0; i < ngauges; ++i) {
-        const std::string name = r.read_string();
-        reg.gauge(name).set(r.read<double>());
-    }
-    const auto nhistograms = r.read<std::uint32_t>();
-    for (std::uint32_t i = 0; i < nhistograms; ++i) {
-        const std::string name = r.read_string();
-        const auto nbounds = r.read<std::uint32_t>();
-        std::vector<double> bounds(nbounds);
-        r.read_into(std::span<double>(bounds));
-        std::vector<std::uint64_t> counts(nbounds + 1);
-        r.read_into(std::span<std::uint64_t>(counts));
-        const auto count = r.read<std::uint64_t>();
-        const double mean = r.read<double>();
-        const double m2 = r.read<double>();
-        const double min = r.read<double>();
-        const double max = r.read<double>();
-        Histogram& h = reg.histogram(name, std::move(bounds));
-        h.counts_ = std::move(counts);
-        h.stats_ = RunningStats::from_raw(count, mean, m2, min, max);
-    }
-    return reg;
 }
 
 }  // namespace bat::obs

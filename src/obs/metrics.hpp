@@ -1,10 +1,8 @@
 #pragma once
 // Metrics registry (docs/OBSERVABILITY.md): named counters, gauges, and
-// fixed-bucket histograms, recorded process-wide and exported as JSON next
-// to the trace. Registries merge() — counters add, gauges keep the maximum,
-// histograms combine bucket counts and their running moments via
-// RunningStats::merge — which is the cross-rank reduction used by
-// obs::reduce_metrics (obs/reduce.hpp).
+// fixed-bucket histograms, recorded process-wide and exported as JSON in
+// the run bundle and embedded in the run report. vmpi ranks are threads of
+// one process, so the global registry already sees every rank.
 //
 // Entry references returned by counter()/gauge()/histogram() stay valid for
 // the registry's lifetime; recording on them is thread-safe.
@@ -12,14 +10,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "util/lock_order.hpp"
 #include "util/stats.hpp"
 
@@ -64,10 +61,7 @@ public:
     /// relative error is bounded by the sub-octave resolution. 0 when empty.
     double percentile(double q) const;
 
-    void merge_from(const Histogram& other);
-
 private:
-    friend class MetricsRegistry;
     mutable std::mutex mutex_;
     std::vector<double> bounds_;
     std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow last)
@@ -77,8 +71,6 @@ private:
 class MetricsRegistry {
 public:
     MetricsRegistry() = default;
-    MetricsRegistry(MetricsRegistry&& other) noexcept;
-    MetricsRegistry& operator=(MetricsRegistry&& other) noexcept;
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -100,37 +92,16 @@ public:
     Gauge& gauge(const std::string& name);
     Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
 
-    /// Merge another registry into this one: counters add, gauges keep the
-    /// max (cross-rank reductions want the slowest/largest rank), histograms
-    /// combine buckets and moments.
-    void merge(const MetricsRegistry& other);
-
-    bool empty() const;
     /// Drop every entry. Callers must not hold entry references across this.
     void clear();
 
-    /// Point-in-time snapshots, name-sorted — the run report and
-    /// reduce_metrics_spread read these instead of holding entry references.
+    /// Point-in-time counter values, name-sorted.
     std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
-    std::vector<std::pair<std::string, double>> gauge_values() const;
-    struct HistogramSnapshot {
-        std::string name;
-        std::uint64_t count = 0;
-        double mean = 0;
-        double min = 0;
-        double max = 0;
-        double p50 = 0;
-        double p90 = 0;
-        double p99 = 0;
-    };
-    std::vector<HistogramSnapshot> histogram_snapshots() const;
 
+    /// Emit the "counters", "gauges" and "histograms" members into an open
+    /// JSON object; to_json() wraps them, the run report embeds them.
+    void write_members(json::Writer& w) const;
     std::string to_json() const;
-    void write_json(const std::filesystem::path& path) const;
-
-    /// Wire format for cross-rank reduction (obs/reduce.hpp).
-    std::vector<std::byte> to_bytes() const;
-    static MetricsRegistry from_bytes(std::span<const std::byte> bytes);
 
 private:
     // Guards the maps; entries synchronize themselves. CheckedMutex: the

@@ -4,12 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <string_view>
 #include <thread>
 
 #include <signal.h>
@@ -20,7 +17,6 @@
 // extension; elsewhere the profiler compiles to stubs that warn at start.
 #if defined(__linux__)
 #define BAT_PROF_HAVE_TIMERS 1
-#include <execinfo.h>
 #include <pthread.h>
 #include <sys/syscall.h>
 #ifndef sigev_notify_thread_id
@@ -31,84 +27,64 @@
 #endif
 
 #include "obs/health.hpp"
-#include "obs/output_path.hpp"
 #include "obs/query_trace.hpp"
+#include "obs/runtime.hpp"
 #include "util/log.hpp"
 
 namespace bat::obs {
 
 namespace {
 
-constexpr int kMaxSpanFrames = 16;
-constexpr int kMaxNativeFrames = 12;
+constexpr int kMaxSpanFrames = SpanChain::kMaxFrames;
 constexpr int kDiagTopK = 8;
 
 struct RawSample {
     std::uint64_t qtrace = 0;
     std::int32_t rank = -1;
     std::int32_t depth = 0;
-    std::int32_t native_depth = 0;
     const char* frames[kMaxSpanFrames];
-    void* native[kMaxNativeFrames];
 };
 
-/// Per-registered-thread sampling state. The SIGPROF handler (which runs on
-/// the owning thread) is the single producer of the ring; drain passes are
-/// the single consumer (serialized by ProfState::drain_mutex). head is
-/// store-release by the handler / load-acquire by drains, tail the reverse,
-/// so slot contents are published without the handler ever taking a lock.
-struct ProfThread {
+}  // namespace
+
+/// Per-thread sampling state, kept in the thread's obs record and reused by
+/// later owners. The SIGPROF handler (running on the owning thread) is the
+/// single producer; drain passes, serialized by the registry lock, are the
+/// single consumer. head is store-release by the handler / load-acquire by
+/// drains, tail the reverse, so slots publish without the handler locking.
+struct detail::ProfRing {
     std::atomic<std::uint64_t> head{0};
     std::atomic<std::uint64_t> tail{0};
     std::atomic<std::uint64_t> dropped{0};
     RawSample* slots = nullptr;
     std::size_t nslots = 0;
-    /// Handler gate. Cleared (on the owning thread) before the timer is
-    /// deleted, so a SIGPROF already queued at unregister time finds the
-    /// gate closed instead of a dying record.
+    /// Handler gate, cleared before the timer is deleted so a SIGPROF
+    /// queued at release time finds it closed.
     std::atomic<bool> armed{false};
-    bool timer_created = false;
+    bool counted = false;  // this owner counted in the "kinds" rollup
 #if BAT_PROF_HAVE_TIMERS
+    bool timer_created = false;
     timer_t timer{};
     pthread_t pthread{};
     pid_t tid = 0;
 #endif
-    const char* kind = "thread";
 };
 
-/// The handler reaches its thread's state through this single thread_local
-/// pointer (constant-initialized, so reading it is async-signal-safe).
-thread_local ProfThread* t_prof = nullptr;
+namespace {
 
-/// Aggregation key: (rank, span-label stack). Labels are string literals,
-/// but identical literals in different translation units may not be pooled
-/// to one address, so ordering compares contents, not pointers.
-struct StackKey {
-    std::int32_t rank = -1;
-    std::vector<const char*> frames;
-};
+using detail::ProfRing;
+using detail::ThreadRecord;
 
-struct StackKeyLess {
-    bool operator()(const StackKey& a, const StackKey& b) const {
-        if (a.rank != b.rank) {
-            return a.rank < b.rank;
-        }
-        const std::size_t n = std::min(a.frames.size(), b.frames.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const int c = std::strcmp(a.frames[i], b.frames[i]);
-            if (c != 0) {
-                return c < 0;
-            }
-        }
-        return a.frames.size() < b.frames.size();
-    }
-};
+/// Aggregation key: (rank, span labels outermost first). Labels are
+/// compared by content: identical literals in different translation units
+/// need not share an address.
+using StackKey = std::pair<std::int32_t, std::vector<std::string>>;
 
 struct Agg {
-    std::map<StackKey, std::uint64_t, StackKeyLess> stacks;
+    std::map<StackKey, std::uint64_t> stacks;
     std::map<std::uint64_t, std::uint64_t> queries;
-    std::map<std::vector<void*>, std::uint64_t> native;
     std::map<std::string, std::uint64_t> kind_samples;
+    std::map<std::string, std::uint64_t> kind_threads;
     std::uint64_t samples = 0;
     std::uint64_t attributed = 0;
     std::uint64_t dropped = 0;
@@ -116,29 +92,15 @@ struct Agg {
 
 struct ProfState {
     std::mutex lifecycle_mutex;  // serializes start/stop/reset
-
-    // Thread registry. Held across whole drain passes (folds are tiny: at
-    // 97 Hz a 100 ms drain interval folds ~10 samples per thread), so
-    // unregistration can recycle records without racing a concurrent fold.
-    std::mutex reg_mutex;
-    std::vector<ProfThread*> threads;
-    // Recycled records from unregistered threads. Rank threads live one
-    // vmpi collective each, so without reuse every run would re-pay the
-    // ring allocation; with it, steady state allocates nothing.
-    std::vector<ProfThread*> free_pool;
-    std::map<std::string, std::uint64_t> kind_threads;  // registrations seen
-
     std::atomic<bool> running{false};
     ProfOptions opts;
     std::uint64_t interval_ns = 0;
 
-    // Drain thread + serialization of drain passes (periodic vs on-demand
-    // export). Lock order: drain_mutex -> reg_mutex -> agg_mutex.
+    // Drain thread. Lock order: registry -> agg.
     std::thread drain_thread;
     std::mutex drain_cv_mutex;
     std::condition_variable drain_cv;
     bool drain_stop = false;
-    std::mutex drain_mutex;
 
     std::mutex agg_mutex;
     Agg agg;
@@ -148,43 +110,35 @@ struct ProfState {
     std::uint64_t diag_id = 0;
 };
 
-/// Heap-allocated and leaked so atexit-time exports never race static
-/// destruction (same pattern as the health and trace state).
+/// Heap-allocated and leaked so exit-time exports never race static
+/// destruction.
 ProfState& pstate() {
-    static ProfState* s = new ProfState;
+    static auto* s = new ProfState;
     return *s;
 }
 
-std::atomic<bool> g_native{false};
-
 // ---- signal handler --------------------------------------------------------
-// Everything here must be async-signal-safe: plain thread_local reads
-// (t_prof, the log rank, the query context), relaxed/acquire-release
-// atomics, and stores into the preallocated ring. No malloc, no locks, no
-// lazily-initialized statics; errno is saved around the body.
+// Everything here must be async-signal-safe: constant-initialized
+// thread_local reads (the obs record, the log rank, the query context),
+// atomics, and stores into the preallocated ring. errno is saved.
 
 void sigprof_handler(int /*sig*/, siginfo_t* /*info*/, void* /*ctx*/) {
-    ProfThread* pt = t_prof;
-    if (pt == nullptr || !pt->armed.load(std::memory_order_acquire)) {
+    const ThreadRecord* rec = detail::current_record();
+    ProfRing* pr = rec != nullptr ? rec->prof.load(std::memory_order_acquire) : nullptr;
+    if (pr == nullptr || !pr->armed.load(std::memory_order_acquire)) {
         return;
     }
     const int saved_errno = errno;
-    const std::uint64_t head = pt->head.load(std::memory_order_relaxed);
-    const std::uint64_t tail = pt->tail.load(std::memory_order_acquire);
-    if (head - tail >= pt->nslots) {
-        pt->dropped.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t head = pr->head.load(std::memory_order_relaxed);
+    const std::uint64_t tail = pr->tail.load(std::memory_order_acquire);
+    if (head - tail >= pr->nslots) {
+        pr->dropped.fetch_add(1, std::memory_order_relaxed);
     } else {
-        RawSample& s = pt->slots[head % pt->nslots];
+        RawSample& s = pr->slots[head % pr->nslots];
         s.rank = thread_log_rank();
         s.qtrace = current_query().trace_id;
-        s.depth = health_detail::read_own_span_stack(s.frames, kMaxSpanFrames);
-        s.native_depth = 0;
-#if BAT_PROF_HAVE_TIMERS
-        if (g_native.load(std::memory_order_relaxed)) {
-            s.native_depth = ::backtrace(s.native, kMaxNativeFrames);
-        }
-#endif
-        pt->head.store(head + 1, std::memory_order_release);
+        s.depth = read_span_chain(s.frames, kMaxSpanFrames);
+        pr->head.store(head + 1, std::memory_order_release);
     }
     errno = saved_errno;
 }
@@ -207,24 +161,28 @@ void install_sigaction_once() {
 
 // ---- arming ----------------------------------------------------------------
 
-/// Create (if needed) and arm this record's timer. Caller holds reg_mutex.
-bool arm_thread(ProfState& s, ProfThread* pt) {
+/// Create (if needed) and arm the timer of a live record's ring. Caller
+/// holds the registry lock.
+void arm_thread(ProfState& s, ThreadRecord& rec) {
 #if BAT_PROF_HAVE_TIMERS
+    ProfRing* pt = rec.prof.load(std::memory_order_relaxed);
     if (pt->slots == nullptr) {
         // Raw, uninitialized storage: the handler writes every field it
-        // publishes, and constructing 4096 slots would fault in the whole
-        // ring up front — with lazy pages only slots that actually receive
-        // samples cost anything.
+        // publishes, so only slots that receive samples fault in.
         pt->nslots = s.opts.ring_slots;
-        pt->slots = static_cast<RawSample*>(
-            ::operator new(pt->nslots * sizeof(RawSample)));
+        pt->slots = static_cast<RawSample*>(::operator new(pt->nslots * sizeof(RawSample)));
+    }
+    if (!pt->counted) {
+        pt->counted = true;
+        std::lock_guard<std::mutex> agg(s.agg_mutex);
+        s.agg.kind_threads[rec.kind] += 1;
     }
     if (!pt->timer_created) {
         clockid_t cid;
         if (::pthread_getcpuclockid(pt->pthread, &cid) != 0) {
-            BAT_LOG_WARN("prof: pthread_getcpuclockid failed for a " << pt->kind
+            BAT_LOG_WARN("prof: pthread_getcpuclockid failed for a " << rec.kind
                                                                      << " thread");
-            return false;
+            return;
         }
         struct sigevent sev;
         std::memset(&sev, 0, sizeof(sev));
@@ -232,8 +190,8 @@ bool arm_thread(ProfState& s, ProfThread* pt) {
         sev.sigev_signo = SIGPROF;
         sev.sigev_notify_thread_id = pt->tid;
         if (::timer_create(cid, &sev, &pt->timer) != 0) {
-            BAT_LOG_WARN("prof: timer_create failed for a " << pt->kind << " thread");
-            return false;
+            BAT_LOG_WARN("prof: timer_create failed for a " << rec.kind << " thread");
+            return;
         }
         pt->timer_created = true;
     }
@@ -258,67 +216,61 @@ bool arm_thread(ProfState& s, ProfThread* pt) {
     its.it_value.tv_sec = static_cast<time_t>(first_ns / 1'000'000'000ull);
     its.it_value.tv_nsec = static_cast<long>(first_ns % 1'000'000'000ull);
     // Open the handler gate before the first expiry can fire; the release
-    // store publishes the freshly allocated ring to the handler.
+    // store publishes the ring to the handler.
     pt->armed.store(true, std::memory_order_release);
     ::timer_settime(pt->timer, 0, &its, nullptr);
-    return true;
 #else
     (void)s;
-    (void)pt;
-    return false;
+    (void)rec;
 #endif
 }
 
-/// Pause sampling without destroying the timer. Caller holds reg_mutex.
-void disarm_thread(ProfThread* pt) {
-    pt->armed.store(false, std::memory_order_release);
+/// Pause sampling without destroying the timer. Caller holds the registry lock.
+void disarm_thread(ProfRing& pt) {
+    pt.armed.store(false, std::memory_order_release);
 #if BAT_PROF_HAVE_TIMERS
-    if (pt->timer_created) {
+    if (pt.timer_created) {
         struct itimerspec zero;
         std::memset(&zero, 0, sizeof(zero));
-        ::timer_settime(pt->timer, 0, &zero, nullptr);
+        ::timer_settime(pt.timer, 0, &zero, nullptr);
     }
 #endif
 }
 
 // ---- folding ---------------------------------------------------------------
 
-/// Fold one ring into the aggregates. Caller holds reg_mutex + agg_mutex.
-void fold_ring(Agg& agg, ProfThread* pt) {
-    const std::uint64_t head = pt->head.load(std::memory_order_acquire);
-    std::uint64_t tail = pt->tail.load(std::memory_order_relaxed);
+/// Fold one ring into the aggregates. Caller holds the registry lock + agg_mutex.
+void fold_ring(Agg& agg, const char* kind, ProfRing& pt) {
+    if (pt.slots == nullptr) {
+        return;
+    }
+    const std::uint64_t head = pt.head.load(std::memory_order_acquire);
+    std::uint64_t tail = pt.tail.load(std::memory_order_relaxed);
     for (; tail != head; ++tail) {
-        const RawSample& raw = pt->slots[tail % pt->nslots];
+        const RawSample& raw = pt.slots[tail % pt.nslots];
         agg.samples += 1;
-        agg.kind_samples[pt->kind] += 1;
+        agg.kind_samples[kind] += 1;
         if (raw.qtrace != 0) {
             agg.queries[raw.qtrace] += 1;
         }
         const int depth = std::min(raw.depth, kMaxSpanFrames);
         if (depth > 0) {
             agg.attributed += 1;
-            StackKey key;
-            key.rank = raw.rank;
-            key.frames.assign(raw.frames, raw.frames + depth);
-            agg.stacks[key] += 1;
-        }
-        const int ndepth = std::min(raw.native_depth, kMaxNativeFrames);
-        if (ndepth > 0) {
-            agg.native[std::vector<void*>(raw.native, raw.native + ndepth)] += 1;
+            agg.stacks[StackKey{raw.rank, {raw.frames, raw.frames + depth}}] += 1;
         }
     }
-    pt->tail.store(tail, std::memory_order_release);
-    agg.dropped += pt->dropped.exchange(0, std::memory_order_relaxed);
+    pt.tail.store(tail, std::memory_order_release);
+    agg.dropped += pt.dropped.exchange(0, std::memory_order_relaxed);
 }
 
-/// Fold every live ring into the aggregates.
+/// Fold every ring into the aggregates.
 void drain_all(ProfState& s) {
-    std::lock_guard<std::mutex> drain(s.drain_mutex);
-    std::lock_guard<std::mutex> reg(s.reg_mutex);
-    std::lock_guard<std::mutex> agg(s.agg_mutex);
-    for (ProfThread* pt : s.threads) {
-        fold_ring(s.agg, pt);
-    }
+    detail::for_each_record([&s](ThreadRecord& rec) {
+        if (ProfRing* pt = rec.prof.load(std::memory_order_relaxed)) {
+            std::lock_guard<std::mutex> agg(s.agg_mutex);
+            fold_ring(s.agg, rec.kind, *pt);
+        }
+    });
 }
 
 void drain_loop(ProfState& s) {
@@ -334,50 +286,29 @@ void drain_loop(ProfState& s) {
     }
 }
 
-// ---- registration ----------------------------------------------------------
-
-void register_thread_impl(const char* kind) {
-    if (t_prof != nullptr) {
-        return;  // idempotent: the first registration's kind wins
-    }
-    ProfState& s = pstate();
-    // Force the span stack into existence now (takes a lock), so the
-    // handler's lock-free read path never needs to create it.
-    health_detail::ensure_span_stack();
-    std::lock_guard<std::mutex> reg(s.reg_mutex);
-    ProfThread* pt;
-    if (!s.free_pool.empty()) {
-        pt = s.free_pool.back();
-        s.free_pool.pop_back();
-    } else {
-        pt = new ProfThread;
-    }
-    pt->kind = kind;
-#if BAT_PROF_HAVE_TIMERS
-    pt->pthread = ::pthread_self();
-    pt->tid = static_cast<pid_t>(::syscall(SYS_gettid));
-#endif
-    s.threads.push_back(pt);
-    s.kind_threads[kind] += 1;
-    t_prof = pt;
+double session_wall(const ProfState& s) {
+    double wall = s.wall_seconds;
     if (s.running.load(std::memory_order_relaxed)) {
-        arm_thread(s, pt);
+        wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                              s.session_start)
+                    .count();
     }
+    return wall;
 }
-
-// ---- lifecycle -------------------------------------------------------------
 
 void stop_locked(ProfState& s) {
     if (!s.running.load(std::memory_order_relaxed)) {
         return;
     }
-    {
-        std::lock_guard<std::mutex> reg(s.reg_mutex);
-        s.running.store(false, std::memory_order_relaxed);
-        for (ProfThread* pt : s.threads) {
-            disarm_thread(pt);
+    // Attaching threads check `running` under the registry lock, so none
+    // can arm after the disarm pass below.
+    s.running.store(false, std::memory_order_relaxed);
+    set_component(kProf, false);
+    detail::for_each_record([](ThreadRecord& rec) {
+        if (ProfRing* pt = rec.prof.load(std::memory_order_relaxed)) {
+            disarm_thread(*pt);
         }
-    }
+    });
     {
         std::lock_guard<std::mutex> lk(s.drain_cv_mutex);
         s.drain_stop = true;
@@ -391,125 +322,17 @@ void stop_locked(ProfState& s) {
         unregister_diag_provider(s.diag_id);
         s.diag_id = 0;
     }
-    s.wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s.session_start)
-            .count();
-    // Mirror stop_watchdog: tracking stays on if the watchdog or flight
-    // recorder still needs it.
-    if (!health_armed()) {
-        set_span_tracking(false);
-    }
+    s.wall_seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                    s.session_start)
+                          .count();
 }
 
-std::string prof_diag_json();
-
-bool start_impl(ProfOptions opts) {
-    if (!profiler_supported()) {
-        BAT_LOG_WARN(
-            "prof: per-thread CPU-clock timers unavailable on this platform; "
-            "profiler not started");
-        return false;
+void write_frames(json::Writer& w, const std::vector<std::string>& frames) {
+    w.key("frames").begin_array();
+    for (const std::string& f : frames) {
+        w.value(f);
     }
-    ProfState& s = pstate();
-    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
-    stop_locked(s);
-    opts.hz = std::clamp(opts.hz, 1.0, 1000.0);
-    opts.ring_slots = std::max<std::size_t>(opts.ring_slots, 64);
-    if (opts.drain_interval.count() <= 0) {
-        opts.drain_interval = std::chrono::milliseconds(100);
-    }
-    s.opts = opts;
-    s.interval_ns = static_cast<std::uint64_t>(1e9 / opts.hz);
-    g_native.store(opts.native_frames, std::memory_order_relaxed);
-    install_sigaction_once();
-#if BAT_PROF_HAVE_TIMERS
-    if (opts.native_frames) {
-        // glibc's first backtrace call may allocate (loading the unwinder);
-        // take it here so handler-context calls never do.
-        void* warm[4];
-        ::backtrace(warm, 4);
-    }
-#endif
-    set_span_tracking(true);
-    s.session_start = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> reg(s.reg_mutex);
-        s.running.store(true, std::memory_order_relaxed);
-        for (ProfThread* pt : s.threads) {
-            arm_thread(s, pt);
-        }
-    }
-    s.diag_id = register_diag_provider("prof", [] { return prof_diag_json(); });
-    {
-        std::lock_guard<std::mutex> lk(s.drain_cv_mutex);
-        s.drain_stop = false;
-    }
-    s.drain_thread = std::thread([&s] { drain_loop(s); });
-    BAT_LOG_INFO("prof: sampling at " << s.opts.hz << " Hz per thread");
-    return true;
-}
-
-/// One-time environment arming: BAT_PROF_HZ starts sampling, BAT_PROF_FILE
-/// registers the exit-time export. Runs start_impl directly — the public
-/// start_profiler would re-enter this call_once from the same thread and
-/// deadlock (the bug class PR 5's watchdog arming hit).
-void ensure_prof_env() {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        const char* hz_env = std::getenv("BAT_PROF_HZ");
-        const double hz = hz_env != nullptr ? std::strtod(hz_env, nullptr) : 0.0;
-        if (hz <= 0 && std::getenv("BAT_PROF_FILE") == nullptr) {
-            return;
-        }
-        std::atexit([] {
-            stop_profiler();
-            if (std::getenv("BAT_PROF_FILE") != nullptr) {
-                write_profile();
-            }
-        });
-        if (hz <= 0) {
-            return;
-        }
-        ProfOptions opts;
-        opts.hz = hz;
-        if (const char* ring = std::getenv("BAT_PROF_RING")) {
-            const long long v = std::atoll(ring);
-            if (v > 0) {
-                opts.ring_slots = static_cast<std::size_t>(v);
-            }
-        }
-        if (const char* native = std::getenv("BAT_PROF_NATIVE")) {
-            opts.native_frames = *native != '\0' && std::strcmp(native, "0") != 0;
-        }
-        start_impl(opts);
-    });
-}
-
-// ---- JSON rendering --------------------------------------------------------
-
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-    out += buf;
-}
-
-void append_double(std::string& out, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    out += buf;
-}
-
-void append_frames(std::string& out, const std::vector<const char*>& frames) {
-    out += '[';
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (i != 0) {
-            out += ',';
-        }
-        out += '"';
-        out += frames[i];  // span labels are identifier-like literals
-        out += '"';
-    }
-    out += ']';
+    w.end_array();
 }
 
 /// Diag-provider payload: totals + top-k hottest stacks, the "profile tail"
@@ -529,91 +352,48 @@ std::string prof_diag_json() {
     }
     std::sort(top.begin(), top.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
-    if (top.size() > kDiagTopK) {
-        top.resize(kDiagTopK);
+    top.resize(std::min<std::size_t>(top.size(), kDiagTopK));
+    std::string out;
+    json::Writer w(out);
+    w.begin_object().field("hz", s.opts.hz).field("samples", agg.samples);
+    w.field("attributed", agg.attributed).field("dropped", agg.dropped);
+    w.key("top").begin_array();
+    for (const auto& [key, count] : top) {
+        w.begin_object().field("rank", key->first).field("samples", count);
+        write_frames(w, key->second);
+        w.end_object();
     }
-    std::string out = "{\"hz\":";
-    append_double(out, s.opts.hz);
-    out += ",\"samples\":";
-    append_u64(out, agg.samples);
-    out += ",\"attributed\":";
-    append_u64(out, agg.attributed);
-    out += ",\"dropped\":";
-    append_u64(out, agg.dropped);
-    out += ",\"top\":[";
-    for (std::size_t i = 0; i < top.size(); ++i) {
-        if (i != 0) {
-            out += ',';
-        }
-        out += "{\"rank\":" + std::to_string(top[i].first->rank) + ",\"samples\":";
-        append_u64(out, top[i].second);
-        out += ",\"frames\":";
-        append_frames(out, top[i].first->frames);
-        out += '}';
-    }
-    out += "]}";
+    w.end_array().end_object();
     return out;
 }
 
 }  // namespace
 
-// ---- public API ------------------------------------------------------------
+// ---- registry hooks ----------------------------------------------------------
 
-bool profiler_supported() {
-    return BAT_PROF_HAVE_TIMERS != 0;
-}
-
-bool profiler_running() {
-    return pstate().running.load(std::memory_order_relaxed);
-}
-
-bool start_profiler(ProfOptions opts) {
-    ensure_prof_env();
-    register_thread_impl("main");  // the caller participates
-    return start_impl(opts);
-}
-
-void stop_profiler() {
-    ensure_prof_env();
-    ProfState& s = pstate();
-    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
-    stop_locked(s);
-}
-
-void reset_profiler() {
-    ensure_prof_env();
-    ProfState& s = pstate();
-    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
-    drain_all(s);  // advance every ring past old samples
-    {
-        std::lock_guard<std::mutex> reg(s.reg_mutex);
-        std::lock_guard<std::mutex> agg(s.agg_mutex);
-        s.agg = Agg{};
-        s.kind_threads.clear();
-        for (const ProfThread* pt : s.threads) {
-            s.kind_threads[pt->kind] += 1;
-        }
+void detail::prof_thread_attached(ThreadRecord& rec) {
+    // The ring outlives its owners; the timer is bound to one kernel thread,
+    // so each new owner records its ids and gets a fresh timer on arming.
+    ProfRing* pt = rec.prof.load(std::memory_order_relaxed);
+    if (pt == nullptr) {
+        pt = new ProfRing;
+        rec.prof.store(pt, std::memory_order_release);
     }
-    s.wall_seconds = 0;
-    s.session_start = std::chrono::steady_clock::now();
+#if BAT_PROF_HAVE_TIMERS
+    pt->pthread = ::pthread_self();
+    pt->tid = static_cast<pid_t>(::syscall(SYS_gettid));
+#endif
+    ProfState& s = pstate();
+    if (s.running.load(std::memory_order_relaxed)) {
+        arm_thread(s, rec);
+    }
 }
 
-void prof_register_thread(const char* kind) {
-    ensure_prof_env();
-    register_thread_impl(kind);
-}
-
-void prof_unregister_thread() {
-    ProfThread* pt = t_prof;
+void detail::prof_thread_released(ThreadRecord& rec) {
+    ProfRing* pt = rec.prof.load(std::memory_order_relaxed);
     if (pt == nullptr) {
         return;
     }
-    // Null the handler's pointer first: this store is sequenced on the
-    // owning thread, so any later SIGPROF delivery (even one already queued
-    // when the timer dies) returns without touching the record.
-    t_prof = nullptr;
-    ProfState& s = pstate();
-    std::lock_guard<std::mutex> reg(s.reg_mutex);
     pt->armed.store(false, std::memory_order_release);
 #if BAT_PROF_HAVE_TIMERS
     if (pt->timer_created) {
@@ -621,19 +401,93 @@ void prof_unregister_thread() {
         pt->timer_created = false;
     }
 #endif
-    // The ring is quiescent now (this thread can take no more SIGPROFs), so
-    // fold any pending samples inline and recycle the record — its ring
-    // allocation carries over to the next registered thread.
-    if (pt->slots != nullptr) {
-        std::lock_guard<std::mutex> agg(s.agg_mutex);
-        fold_ring(s.agg, pt);
+    // The ring is quiescent now (its thread takes no more SIGPROFs): fold
+    // pending samples so the next owner starts empty.
+    ProfState& s = pstate();
+    std::lock_guard<std::mutex> agg(s.agg_mutex);
+    fold_ring(s.agg, rec.kind, *pt);
+    pt->counted = false;
+}
+
+// ---- public API ------------------------------------------------------------
+
+bool profiler_supported() { return BAT_PROF_HAVE_TIMERS != 0; }
+
+bool profiler_running() { return pstate().running.load(std::memory_order_relaxed); }
+
+namespace {
+
+bool start_impl(ProfOptions opts, bool attach_caller) {
+    if (!profiler_supported()) {
+        BAT_LOG_WARN(
+            "prof: per-thread CPU-clock timers unavailable on this platform; "
+            "profiler not started");
+        return false;
     }
-    s.threads.erase(std::find(s.threads.begin(), s.threads.end(), pt));
-    s.free_pool.push_back(pt);
+    ProfState& s = pstate();
+    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
+    stop_locked(s);
+    opts.hz = std::clamp(opts.hz, 1.0, 1000.0);
+    opts.ring_slots = std::max<std::size_t>(opts.ring_slots, 64);
+    if (opts.drain_interval.count() <= 0) {
+        opts.drain_interval = std::chrono::milliseconds(100);
+    }
+    s.opts = opts;
+    s.interval_ns = static_cast<std::uint64_t>(1e9 / opts.hz);
+    install_sigaction_once();
+    s.session_start = std::chrono::steady_clock::now();
+    s.running.store(true, std::memory_order_relaxed);
+    set_component(kProf, true);
+    if (attach_caller) {
+        attach_thread("main");
+    }
+    detail::for_each_record([&s](ThreadRecord& rec) {
+        if (rec.live && rec.sampled) {
+            arm_thread(s, rec);
+        }
+    });
+    s.diag_id = register_diag_provider("prof", [] { return prof_diag_json(); });
+    {
+        std::lock_guard<std::mutex> lk(s.drain_cv_mutex);
+        s.drain_stop = false;
+    }
+    s.drain_thread = std::thread([&s] { drain_loop(s); });
+    BAT_LOG_INFO("prof: sampling at " << s.opts.hz << " Hz per thread");
+    return true;
+}
+
+}  // namespace
+
+bool start_profiler(ProfOptions opts) { return start_impl(opts, /*attach_caller=*/true); }
+
+void detail::start_sampling() { start_impl(ProfOptions{}, /*attach_caller=*/false); }
+
+void stop_profiler() {
+    ProfState& s = pstate();
+    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
+    stop_locked(s);
+}
+
+void reset_profiler() {
+    ProfState& s = pstate();
+    std::lock_guard<std::mutex> lifecycle(s.lifecycle_mutex);
+    drain_all(s);  // advance every ring past old samples
+    {
+        std::lock_guard<std::mutex> agg(s.agg_mutex);
+        s.agg = Agg{};
+    }
+    detail::for_each_record([&s](const ThreadRecord& rec) {
+        const ProfRing* pt = rec.prof.load(std::memory_order_relaxed);
+        if (pt != nullptr && pt->counted) {
+            std::lock_guard<std::mutex> agg(s.agg_mutex);
+            s.agg.kind_threads[rec.kind] += 1;
+        }
+    });
+    s.wall_seconds = 0;
+    s.session_start = std::chrono::steady_clock::now();
 }
 
 ProfTotals prof_totals() {
-    ensure_prof_env();
     ProfState& s = pstate();
     drain_all(s);
     std::lock_guard<std::mutex> agg(s.agg_mutex);
@@ -642,234 +496,103 @@ ProfTotals prof_totals() {
     t.attributed = s.agg.attributed;
     t.dropped = s.agg.dropped;
     t.hz = s.opts.hz;
-    t.wall_seconds = s.wall_seconds;
-    if (s.running.load(std::memory_order_relaxed)) {
-        t.wall_seconds += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - s.session_start)
-                              .count();
-    }
+    t.wall_seconds = session_wall(s);
     return t;
 }
 
 std::vector<ProfStackCount> prof_stack_counts() {
-    ensure_prof_env();
     ProfState& s = pstate();
     drain_all(s);
     std::lock_guard<std::mutex> agg(s.agg_mutex);
     std::vector<ProfStackCount> out;
     out.reserve(s.agg.stacks.size());
     for (const auto& [key, count] : s.agg.stacks) {
-        ProfStackCount c;
-        c.rank = key.rank;
-        c.frames.assign(key.frames.begin(), key.frames.end());
-        c.samples = count;
-        out.push_back(std::move(c));
-    }
-    return out;
-}
-
-std::vector<ProfQueryCount> prof_query_counts() {
-    ensure_prof_env();
-    ProfState& s = pstate();
-    drain_all(s);
-    std::lock_guard<std::mutex> agg(s.agg_mutex);
-    std::vector<ProfQueryCount> out;
-    out.reserve(s.agg.queries.size());
-    for (const auto& [id, count] : s.agg.queries) {
-        out.push_back(ProfQueryCount{id, count});
+        out.push_back(ProfStackCount{key.first, key.second, count});
     }
     return out;
 }
 
 std::string profile_json() {
-    ensure_prof_env();
     ProfState& s = pstate();
     drain_all(s);
-    std::lock_guard<std::mutex> reg(s.reg_mutex);
     std::lock_guard<std::mutex> agg(s.agg_mutex);
     const Agg& a = s.agg;
-    double wall = s.wall_seconds;
-    if (s.running.load(std::memory_order_relaxed)) {
-        wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              s.session_start)
-                    .count();
-    }
-    std::string out = "{\"schema\":\"bat-prof-v1\",\"pid\":";
-    out += std::to_string(static_cast<long>(::getpid()));
-    out += ",\"hz\":";
-    append_double(out, s.opts.hz);
-    out += ",\"native\":";
-    out += s.opts.native_frames ? "true" : "false";
-    out += ",\"wall_seconds\":";
-    append_double(out, wall);
-    out += ",\"samples\":";
-    append_u64(out, a.samples);
-    out += ",\"attributed\":";
-    append_u64(out, a.attributed);
-    out += ",\"dropped\":";
-    append_u64(out, a.dropped);
-    out += ",\"kinds\":{";
-    bool first = true;
-    for (const auto& [kind, threads] : s.kind_threads) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"';
-        out += kind;
-        out += "\":{\"threads\":";
-        append_u64(out, threads);
-        out += ",\"samples\":";
+    std::string out;
+    json::Writer w(out);
+    w.begin_object().field("schema", "bat-prof-v1").field("pid", static_cast<long>(::getpid()));
+    w.field("hz", s.opts.hz).field("wall_seconds", session_wall(s));
+    w.field("samples", a.samples).field("attributed", a.attributed).field("dropped", a.dropped);
+    w.key("kinds").begin_object();
+    for (const auto& [kind, threads] : a.kind_threads) {
         const auto it = a.kind_samples.find(kind);
-        append_u64(out, it != a.kind_samples.end() ? it->second : 0);
-        out += '}';
+        w.key(kind).begin_object().field("threads", threads);
+        w.field("samples", it != a.kind_samples.end() ? it->second : 0).end_object();
     }
-    out += "},\"stacks\":[";
-    first = true;
+    w.end_object().key("stacks").begin_array();
     for (const auto& [key, count] : a.stacks) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"rank\":" + std::to_string(key.rank) + ",\"samples\":";
-        append_u64(out, count);
-        out += ",\"frames\":";
-        append_frames(out, key.frames);
-        out += '}';
+        w.begin_object().field("rank", key.first).field("samples", count);
+        write_frames(w, key.second);
+        w.end_object();
     }
-    out += "],\"queries\":[";
-    first = true;
+    w.end_array().key("queries").begin_array();
     for (const auto& [id, count] : a.queries) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"trace_id\":";
-        append_u64(out, id);
-        out += ",\"samples\":";
-        append_u64(out, count);
-        out += '}';
+        w.begin_object().field("trace_id", id).field("samples", count).end_object();
     }
-    out += ']';
-    if (!a.native.empty()) {
-        out += ",\"native_stacks\":[";
-        first = true;
-        for (const auto& [addrs, count] : a.native) {
-#if BAT_PROF_HAVE_TIMERS
-            char** symbols = ::backtrace_symbols(
-                const_cast<void* const*>(addrs.data()), static_cast<int>(addrs.size()));
-#else
-            char** symbols = nullptr;
-#endif
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            out += "{\"samples\":";
-            append_u64(out, count);
-            out += ",\"frames\":[";
-            for (std::size_t i = 0; i < addrs.size(); ++i) {
-                if (i != 0) {
-                    out += ',';
-                }
-                out += '"';
-                if (symbols != nullptr) {
-                    for (const char* c = symbols[i]; *c != '\0'; ++c) {
-                        if (*c == '"' || *c == '\\') {
-                            out += '\\';
-                        }
-                        out += *c;
-                    }
-                } else {
-                    char buf[24];
-                    std::snprintf(buf, sizeof(buf), "%p", addrs[i]);
-                    out += buf;
-                }
-                out += '"';
-            }
-            out += "]}";
-            std::free(symbols);  // NOLINT(cppcoreguidelines-no-malloc)
-        }
-        out += ']';
-    }
-    out += '}';
+    w.end_array().end_object();
     return out;
-}
-
-bool write_profile(const std::filesystem::path& path) {
-    ensure_prof_env();
-    std::string target = path.string();
-    if (target.empty()) {
-        if (const char* env = std::getenv("BAT_PROF_FILE")) {
-            target = env;
-        }
-    }
-    if (target.empty()) {
-        return false;
-    }
-    const std::string expanded = expand_output_path(target);
-    std::ofstream out(expanded);
-    if (!out) {
-        BAT_LOG_WARN("prof: cannot open " << expanded << " for writing");
-        return false;
-    }
-    out << profile_json() << '\n';
-    out.flush();
-    if (out.good()) {
-        BAT_LOG_INFO("prof: wrote bat-prof-v1 profile to " << expanded);
-        return true;
-    }
-    return false;
 }
 
 // ---- diffing ---------------------------------------------------------------
 
+std::map<std::string, double> prof_stack_samples(const json::Value& profile, bool by_rank) {
+    std::map<std::string, double> out;
+    if (const json::Value* stacks = profile.find("stacks"); stacks != nullptr) {
+        for (const json::Value& entry : stacks->array()) {
+            const json::Value* rank = entry.find("rank");
+            const json::Value* samples = entry.find("samples");
+            const json::Value* frames = entry.find("frames");
+            if (samples == nullptr || frames == nullptr || rank == nullptr) {
+                continue;
+            }
+            std::string key;
+            if (by_rank) {
+                key = std::to_string(static_cast<int>(rank->number()));
+            } else {
+                for (const json::Value& f : frames->array()) {
+                    key += (key.empty() ? "" : ";") + f.string();
+                }
+            }
+            out[key] += samples->number();
+        }
+    }
+    return out;
+}
+
 ProfDiff prof_diff(const json::Value& before, const json::Value& after,
                    double threshold_pts) {
+    // Per-stack percent of attributed samples, ranks merged.
     const auto shares = [](const json::Value& doc, std::uint64_t* total_out) {
-        std::map<std::string, double> out;
+        std::map<std::string, double> out = prof_stack_samples(doc);
         double total = 0;
-        if (const json::Value* stacks = doc.find("stacks");
-            stacks != nullptr && stacks->is_array()) {
-            for (const json::Value& entry : stacks->array()) {
-                const json::Value* frames = entry.find("frames");
-                const json::Value* samples = entry.find("samples");
-                if (frames == nullptr || !frames->is_array() || samples == nullptr ||
-                    !samples->is_number()) {
-                    continue;
-                }
-                std::string stack;
-                for (const json::Value& f : frames->array()) {
-                    if (!stack.empty()) {
-                        stack += ';';
-                    }
-                    stack += f.string();
-                }
-                out[stack] += samples->number();  // ranks merge
-                total += samples->number();
-            }
+        for (const auto& [stack, count] : out) {
+            total += count;
         }
-        if (total > 0) {
-            for (auto& [stack, count] : out) {
-                count = 100.0 * count / total;
-            }
+        for (auto& [stack, count] : out) {
+            count = 100.0 * count / total;
         }
         *total_out = static_cast<std::uint64_t>(total);
         return out;
     };
     ProfDiff diff;
-    const std::map<std::string, double> b = shares(before, &diff.before_samples);
-    const std::map<std::string, double> a = shares(after, &diff.after_samples);
     std::map<std::string, ProfDiffEntry> merged;
-    for (const auto& [stack, share] : b) {
-        merged[stack].stack = stack;
+    for (const auto& [stack, share] : shares(before, &diff.before_samples)) {
         merged[stack].before_share = share;
     }
-    for (const auto& [stack, share] : a) {
-        merged[stack].stack = stack;
+    for (const auto& [stack, share] : shares(after, &diff.after_samples)) {
         merged[stack].after_share = share;
     }
     for (auto& [stack, entry] : merged) {
+        entry.stack = stack;
         entry.delta = entry.after_share - entry.before_share;
         diff.entries.push_back(entry);
     }

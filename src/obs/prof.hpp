@@ -1,34 +1,24 @@
 #pragma once
-// Always-on sampling CPU profiler (docs/OBSERVABILITY.md). Spans (trace.hpp)
-// and the run report (health.hpp) say where wall time elapsed; this layer
-// says where CPU burned, attributed through the same obs context: each
-// sample captures the thread's rank, its open-span stack, and the active
-// QueryContext, so samples roll up by phase, by query trace id, and — via
-// the thread pool's origin-span propagation — by pool-task origin even
-// under comm-thread work-helping.
+// Always-on sampling CPU profiler (docs/OBSERVABILITY.md). Spans and the
+// run report say where wall time elapsed; this layer says where CPU burned.
+// Each sample captures the thread's rank, its span chain (obs/runtime.hpp:
+// for a pool task, the submitter's chain at enqueue plus the task's own
+// spans) and the active QueryContext, so samples roll up by phase, by query
+// and by pool-task origin even under work-helping.
 //
-// Mechanics: one POSIX per-thread CPU-clock timer per registered thread
+// Mechanics: one per-thread CPU-clock timer per attached thread
 // (pthread_getcpuclockid + timer_create(SIGEV_THREAD_ID)) delivers SIGPROF
-// at BAT_PROF_HZ only while the thread consumes CPU — blocked threads cost
-// and produce nothing. The handler is async-signal-safe: it copies the
-// thread-local attribution context into a preallocated per-thread SPSC ring
-// (no malloc, no locks). A drain thread folds rings into collapsed-stack
-// aggregates, which export as one bat-prof-v1 JSON document and surface in
-// flight records / watchdog stall diagnoses through a "prof" diag provider
-// (a stuck-rank report includes the profile tail). tools/prof_report
-// renders top-k attributions, per-rank imbalance, flamegraph-compatible
-// collapsed output, and before/after regression diffs.
-//
-// Arming: BAT_PROF_HZ=N starts the profiler at process startup (first obs
-// registration); BAT_PROF_FILE writes the profile at exit ("%p" expands to
-// the pid); BAT_PROF_RING overrides per-thread ring capacity;
-// BAT_PROF_NATIVE=1 additionally captures raw native frames via backtrace.
-// Default off; overhead when armed at 97 Hz is gated <= 5% end to end by
-// bench/obs_overhead + tools/bench_check.
+// only while the thread consumes CPU. The async-signal-safe handler copies
+// the attribution into a preallocated ring in the thread's obs record; a
+// drain thread folds rings into collapsed-stack aggregates, exported as
+// bat-prof-v1 and surfaced in flight records through a "prof" diag
+// provider. Armed by BAT_OBS=prof at 97 Hz or by start_profiler(); armed
+// overhead is gated <= 5% end to end by bench/obs_overhead.
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,14 +29,10 @@ namespace bat::obs {
 struct ProfOptions {
     /// Samples per second of *CPU time* per thread; clamped to [1, 1000].
     double hz = 97.0;
-    /// Per-thread ring capacity in samples; overflow increments a dropped
-    /// counter instead of blocking or allocating in the handler.
+    /// Per-thread ring capacity in samples (for rings created after the
+    /// call); overflow increments a dropped counter instead of blocking or
+    /// allocating in the handler.
     std::size_t ring_slots = 4096;
-    /// Also capture raw native return addresses via backtrace(3) in the
-    /// handler. glibc's backtrace is not formally async-signal-safe (the
-    /// first call may allocate), so it is warmed at start and off by
-    /// default; span-stack labels are the primary attribution.
-    bool native_frames = false;
     /// How often the drain thread folds the per-thread rings.
     std::chrono::milliseconds drain_interval{100};
 };
@@ -56,9 +42,8 @@ struct ProfOptions {
 bool profiler_supported();
 bool profiler_running();
 
-/// Start sampling (idempotent: a running profiler is stopped first). Also
-/// registers the calling thread and enables span-stack tracking. Returns
-/// false when unsupported.
+/// Start sampling (idempotent: a running profiler is stopped first) every
+/// attached thread, the caller included. Returns false when unsupported.
 bool start_profiler(ProfOptions opts = {});
 
 /// Disarm every timer, join the drain thread, and fold any remaining
@@ -68,16 +53,6 @@ void stop_profiler();
 /// Drop every aggregate and pending ring sample (tests, benchmark warmup).
 /// The profiler keeps running if it was running.
 void reset_profiler();
-
-/// Register the calling thread for sampling under `kind` ("rank", "pool",
-/// "main"); cheap when the profiler is off, arms a timer immediately when
-/// running. Idempotent per thread (the first kind wins). The vmpi runtime
-/// and thread pool register their threads; register manually only for
-/// threads outside those.
-void prof_register_thread(const char* kind);
-/// Disarm + retire the calling thread's sampling state; pending samples are
-/// folded by the next drain. Must be called on the registered thread.
-void prof_unregister_thread();
 
 struct ProfTotals {
     std::uint64_t samples = 0;     // folded samples
@@ -97,23 +72,16 @@ struct ProfStackCount {
 /// Collapsed-stack aggregate after folding the current rings.
 std::vector<ProfStackCount> prof_stack_counts();
 
-struct ProfQueryCount {
-    std::uint64_t trace_id = 0;
-    std::uint64_t samples = 0;
-};
-/// Per-query rollup (samples taken while a QueryContext was installed).
-std::vector<ProfQueryCount> prof_query_counts();
-
 /// Render the bat-prof-v1 JSON document (drains first; callable while
 /// running or after stop).
 std::string profile_json();
 
-/// Write profile_json() to `path`, or to BAT_PROF_FILE when `path` is empty
-/// ("%p" expands to the pid via expand_output_path). Returns false when no
-/// destination is configured or the write failed.
-bool write_profile(const std::filesystem::path& path = {});
+// ---- reading bat-prof-v1 documents (bat_obs) ---------------------------------
 
-// ---- profile diffing (tools/prof_report --diff) ----------------------------
+/// Samples per ';'-joined span stack, ranks merged — or per rank when
+/// `by_rank`.
+std::map<std::string, double> prof_stack_samples(const json::Value& profile,
+                                                 bool by_rank = false);
 
 struct ProfDiffEntry {
     std::string stack;        // frames joined with ';', ranks merged

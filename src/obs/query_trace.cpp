@@ -1,15 +1,12 @@
 #include "obs/query_trace.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <algorithm>
+#include <atomic>
 #include <map>
-#include <mutex>
 
-#include "obs/health.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/output_path.hpp"
+#include "obs/runtime.hpp"
 #include "util/log.hpp"
 
 namespace bat::obs {
@@ -20,41 +17,64 @@ namespace {
 // workers and rank threads attribute costs past any static destruction
 // order, and the atexit log export must never race a destructor.
 
-constexpr std::size_t kMaxRecords = 8192;
-constexpr std::size_t kMaxServeSpans = 65536;
 constexpr std::size_t kCostSlots = 4096;
 constexpr std::size_t kCostProbeLimit = 128;
 
 /// Lock-free per-query cost accumulator, claimed by CAS on the trace id.
+enum Cost { kCacheHits, kCacheMisses, kPoolNs, kWindows, kCostCount };
 struct CostSlot {
     std::atomic<std::uint64_t> id{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> pool_ns{0};
-    std::atomic<std::uint64_t> windows{0};
+    std::atomic<std::uint64_t> cost[kCostCount] = {};
+
+    void clear() {
+        for (auto& c : cost) {
+            c.store(0, std::memory_order_relaxed);
+        }
+    }
+};
+
+/// Fixed-capacity append-only ring: a slot is claimed with one fetch_add,
+/// filled, then committed with a release store so exporters never read a
+/// half-written entry.
+template <typename T, std::size_t N>
+struct Ring {
+    T items[N];
+    std::atomic<bool> committed[N] = {};
+    std::atomic<std::size_t> next{0};
+
+    bool push(const T& item) {
+        const std::size_t at = next.fetch_add(1, std::memory_order_relaxed);
+        if (at >= N) {
+            return false;
+        }
+        items[at] = item;
+        committed[at].store(true, std::memory_order_release);
+        return true;
+    }
+    std::vector<T> snapshot() const {
+        std::vector<T> out;
+        for (std::size_t i = 0; i < std::min(next.load(std::memory_order_relaxed), N); ++i) {
+            if (committed[i].load(std::memory_order_acquire)) {
+                out.push_back(items[i]);
+            }
+        }
+        return out;
+    }
+    /// Uncommit first so concurrent readers drop out, then rewind.
+    void reset() {
+        for (auto& c : committed) {
+            c.store(false, std::memory_order_relaxed);
+        }
+        next.store(0, std::memory_order_relaxed);
+    }
 };
 
 struct QueryState {
     std::atomic<std::uint64_t> next_id{0};
-
-    // Rings: slots are claimed with one fetch_add, filled, then committed
-    // with a release store so exporters never read a half-written entry.
-    QueryRecord records[kMaxRecords];
-    std::atomic<bool> record_committed[kMaxRecords] = {};
-    std::atomic<std::size_t> record_next{0};
-
-    QueryServeSpan spans[kMaxServeSpans];
-    std::atomic<bool> span_committed[kMaxServeSpans] = {};
-    std::atomic<std::size_t> span_next{0};
-
+    Ring<QueryRecord, 8192> records;
+    Ring<QueryServeSpan, 65536> spans;
     CostSlot costs[kCostSlots];
     std::atomic<std::uint64_t> dropped{0};
-
-    std::atomic<bool> enabled{false};
-    std::atomic<std::uint32_t> sample_every{1};
-    std::atomic<bool> log_armed{false};
-    std::mutex log_path_mutex;
-    std::string log_path;  // set by arm_query_log; BAT_QUERY_LOG otherwise
 };
 
 QueryState& state() {
@@ -65,53 +85,6 @@ QueryState& state() {
 thread_local QueryContext t_current;
 thread_local std::uint64_t t_cache_hits = 0;
 thread_local std::uint64_t t_cache_misses = 0;
-
-/// One-time environment arming: BAT_QUERY_LOG enables ring recording and
-/// registers the exit-time JSONL export; BAT_QUERY_SAMPLE sets sampling.
-void ensure_init() {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        QueryState& s = state();
-        if (const char* sample = std::getenv("BAT_QUERY_SAMPLE")) {
-            const long n = std::strtol(sample, nullptr, 10);
-            if (n > 0) {
-                s.sample_every.store(static_cast<std::uint32_t>(n),
-                                     std::memory_order_relaxed);
-            }
-        }
-        if (const char* path = std::getenv("BAT_QUERY_LOG")) {
-            s.enabled.store(true, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lock(s.log_path_mutex);
-                s.log_path = path;
-            }
-            s.log_armed.store(true, std::memory_order_relaxed);
-            std::atexit([] {
-                std::string path;
-                {
-                    std::lock_guard<std::mutex> lock(state().log_path_mutex);
-                    path = state().log_path;
-                }
-                if (!path.empty()) {
-                    write_query_log(path);
-                }
-            });
-        }
-    });
-}
-
-/// Sampling is a pure function of the trace id (its low bits are the global
-/// mint counter), so the origin and every serving rank agree on whether a
-/// query is recorded without shipping an extra flag.
-bool sampled(std::uint64_t trace_id) {
-    const std::uint32_t every = state().sample_every.load(std::memory_order_relaxed);
-    return every <= 1 || (trace_id & 0xFFFFFFFFFFull) % every == 0;
-}
-
-bool recording(const QueryContext& ctx) {
-    return ctx.valid() && state().enabled.load(std::memory_order_relaxed) &&
-           sampled(ctx.trace_id);
-}
 
 CostSlot* find_cost_slot(std::uint64_t id, bool create) {
     QueryState& s = state();
@@ -138,30 +111,33 @@ CostSlot* find_cost_slot(std::uint64_t id, bool create) {
     return nullptr;
 }
 
-// ---- JSONL rendering -------------------------------------------------------
-
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-void append_us(std::string& out, std::uint64_t ns) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e3);
-    out += buf;
+/// Charge `delta` to the current query's cost slot; no-op without one.
+void note_cost(Cost which, std::uint64_t delta) {
+    const QueryContext ctx = t_current;
+    if (!ctx.valid() || !query_trace_enabled()) {
+        return;
+    }
+    if (which == kCacheHits || which == kCacheMisses) {
+        (which == kCacheHits ? t_cache_hits : t_cache_misses) += 1;
+    }
+    if (CostSlot* slot = find_cost_slot(ctx.trace_id, /*create=*/true)) {
+        slot->cost[which].fetch_add(delta, std::memory_order_relaxed);
+    }
 }
 
-void append_span_json(std::string& out, const QueryServeSpan& sp) {
-    out += "{\"rank\":";
-    out += std::to_string(sp.serve_rank);
-    out += ",\"leaf\":";
-    out += std::to_string(sp.leaf);
-    out += ",\"start_us\":";
-    append_us(out, sp.start_ns);
-    out += ",\"dur_us\":";
-    append_us(out, sp.dur_ns);
-    out += ",\"bytes\":";
-    append_u64(out, sp.bytes);
-    out += ",\"cache_hit\":";
-    out += sp.cache_hit ? "true" : "false";
-    out += "}";
+void push_or_drop(bool pushed) {
+    if (!pushed) {
+        state().dropped.fetch_add(1, std::memory_order_relaxed);
+    }
+}
+
+// ---- JSONL rendering -------------------------------------------------------
+
+void write_span(json::Writer& w, const QueryServeSpan& sp) {
+    w.begin_object().field("rank", sp.serve_rank).field("leaf", sp.leaf);
+    w.field("start_us", static_cast<double>(sp.start_ns) / 1e3);
+    w.field("dur_us", static_cast<double>(sp.dur_ns) / 1e3);
+    w.field("bytes", sp.bytes).field("cache_hit", sp.cache_hit).end_object();
 }
 
 }  // namespace
@@ -173,12 +149,11 @@ QueryScope::QueryScope(const QueryContext& ctx) : prev_(t_current) { t_current =
 QueryScope::~QueryScope() { t_current = prev_; }
 
 QueryContext query_begin(int origin_rank) {
-    ensure_init();
     QueryContext ctx;
     const std::uint64_t n =
         state().next_id.fetch_add(1, std::memory_order_relaxed) + 1;
     // Origin rank in the high bits keeps ids readable in logs; the low 40
-    // bits are the process-wide mint counter sampling keys off.
+    // bits are the process-wide mint counter.
     ctx.trace_id =
         (static_cast<std::uint64_t>(origin_rank + 1) << 40) | (n & 0xFFFFFFFFFFull);
     ctx.origin_rank = origin_rank;
@@ -186,37 +161,11 @@ QueryContext query_begin(int origin_rank) {
     return ctx;
 }
 
-bool query_trace_enabled() {
-    ensure_init();
-    return state().enabled.load(std::memory_order_relaxed);
-}
+bool query_trace_enabled() { return (components() & kQuery) != 0; }
 
-void set_query_trace_enabled(bool on) {
-    ensure_init();
-    state().enabled.store(on, std::memory_order_relaxed);
-}
+void set_query_trace_enabled(bool on) { set_component(kQuery, on); }
 
-std::uint32_t query_sample_every() {
-    ensure_init();
-    return state().sample_every.load(std::memory_order_relaxed);
-}
-
-void set_query_sample_every(std::uint32_t n) {
-    ensure_init();
-    state().sample_every.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
-void query_note_cache(bool hit) {
-    const QueryContext ctx = t_current;
-    if (!recording(ctx)) {
-        return;
-    }
-    (hit ? t_cache_hits : t_cache_misses) += 1;
-    if (CostSlot* slot = find_cost_slot(ctx.trace_id, /*create=*/true)) {
-        (hit ? slot->cache_hits : slot->cache_misses)
-            .fetch_add(1, std::memory_order_relaxed);
-    }
-}
+void query_note_cache(bool hit) { note_cost(hit ? kCacheHits : kCacheMisses, 1); }
 
 void query_thread_cache_counts(std::uint64_t* hits, std::uint64_t* misses) {
     if (hits != nullptr) {
@@ -227,156 +176,56 @@ void query_thread_cache_counts(std::uint64_t* hits, std::uint64_t* misses) {
     }
 }
 
-void query_note_pool_ns(std::uint64_t ns) {
-    const QueryContext ctx = t_current;
-    if (!recording(ctx)) {
-        return;
-    }
-    if (CostSlot* slot = find_cost_slot(ctx.trace_id, /*create=*/true)) {
-        slot->pool_ns.fetch_add(ns, std::memory_order_relaxed);
-    }
-}
+void query_note_pool_ns(std::uint64_t ns) { note_cost(kPoolNs, ns); }
 
-void query_note_fastpath_window() {
-    const QueryContext ctx = t_current;
-    if (!recording(ctx)) {
-        return;
-    }
-    if (CostSlot* slot = find_cost_slot(ctx.trace_id, /*create=*/true)) {
-        slot->windows.fetch_add(1, std::memory_order_relaxed);
-    }
-}
+void query_note_fastpath_window() { note_cost(kWindows, 1); }
 
 void query_record_serve_span(const QueryServeSpan& span) {
-    QueryState& s = state();
-    if (!s.enabled.load(std::memory_order_relaxed) || !sampled(span.trace_id)) {
-        return;
+    if (query_trace_enabled()) {
+        push_or_drop(state().spans.push(span));
     }
-    const std::size_t at = s.span_next.fetch_add(1, std::memory_order_relaxed);
-    if (at >= kMaxServeSpans) {
-        s.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    s.spans[at] = span;
-    s.span_committed[at].store(true, std::memory_order_release);
 }
 
 void query_finalize(QueryRecord record) {
-    ensure_init();
     // Percentile accounting is always on: the run report's p50/p99 must not
     // depend on the query log being armed.
     MetricsRegistry::global()
         .histogram(std::string("query.") + record.op + ".us",
                    MetricsRegistry::hdr_us_bounds())
         .record(static_cast<double>(record.wall_ns) / 1e3);
-    QueryState& s = state();
-    if (!s.enabled.load(std::memory_order_relaxed) || !sampled(record.trace_id)) {
+    if (!query_trace_enabled()) {
         return;
     }
     if (CostSlot* slot = find_cost_slot(record.trace_id, /*create=*/false)) {
-        record.cache_hits += slot->cache_hits.load(std::memory_order_relaxed);
-        record.cache_misses += slot->cache_misses.load(std::memory_order_relaxed);
-        record.pool_task_ns += slot->pool_ns.load(std::memory_order_relaxed);
-        record.fastpath_windows += slot->windows.load(std::memory_order_relaxed);
+        record.cache_hits += slot->cost[kCacheHits].load(std::memory_order_relaxed);
+        record.cache_misses += slot->cost[kCacheMisses].load(std::memory_order_relaxed);
+        record.pool_task_ns += slot->cost[kPoolNs].load(std::memory_order_relaxed);
+        record.fastpath_windows += slot->cost[kWindows].load(std::memory_order_relaxed);
         // Release the slot; a straggling pool-task attribution after this
         // point re-claims a fresh slot under the same id (its delta is lost
         // with the already-emitted record, never charged to another query).
-        slot->cache_hits.store(0, std::memory_order_relaxed);
-        slot->cache_misses.store(0, std::memory_order_relaxed);
-        slot->pool_ns.store(0, std::memory_order_relaxed);
-        slot->windows.store(0, std::memory_order_relaxed);
+        slot->clear();
         slot->id.store(0, std::memory_order_release);
     }
-    const std::size_t at = s.record_next.fetch_add(1, std::memory_order_relaxed);
-    if (at >= kMaxRecords) {
-        s.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    s.records[at] = record;
-    s.record_committed[at].store(true, std::memory_order_release);
+    push_or_drop(state().records.push(record));
 }
 
-bool query_log_armed() {
-    ensure_init();
-    return state().log_armed.load(std::memory_order_relaxed);
-}
+std::vector<QueryRecord> query_records() { return state().records.snapshot(); }
 
-void arm_query_log(const std::filesystem::path& path, std::uint32_t sample_every) {
-    ensure_init();
-    QueryState& s = state();
-    {
-        std::lock_guard<std::mutex> lock(s.log_path_mutex);
-        s.log_path = path.string();
-    }
-    if (sample_every > 0) {
-        s.sample_every.store(sample_every, std::memory_order_relaxed);
-    }
-    s.enabled.store(true, std::memory_order_relaxed);
-    if (!s.log_armed.exchange(true, std::memory_order_relaxed)) {
-        std::atexit([] {
-            std::string p;
-            {
-                std::lock_guard<std::mutex> lock(state().log_path_mutex);
-                p = state().log_path;
-            }
-            if (!p.empty()) {
-                write_query_log(p);
-            }
-        });
-    }
-}
-
-std::vector<QueryRecord> query_records() {
-    QueryState& s = state();
-    std::vector<QueryRecord> out;
-    const std::size_t n = std::min(s.record_next.load(std::memory_order_relaxed),
-                                   kMaxRecords);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (s.record_committed[i].load(std::memory_order_acquire)) {
-            out.push_back(s.records[i]);
-        }
-    }
-    return out;
-}
-
-std::vector<QueryServeSpan> query_serve_spans() {
-    QueryState& s = state();
-    std::vector<QueryServeSpan> out;
-    const std::size_t n =
-        std::min(s.span_next.load(std::memory_order_relaxed), kMaxServeSpans);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (s.span_committed[i].load(std::memory_order_acquire)) {
-            out.push_back(s.spans[i]);
-        }
-    }
-    return out;
-}
+std::vector<QueryServeSpan> query_serve_spans() { return state().spans.snapshot(); }
 
 std::uint64_t query_dropped() {
     return state().dropped.load(std::memory_order_relaxed);
 }
 
 void reset_query_trace() {
-    ensure_init();
+    // Resets are quiescent-time operations (tests, bench reruns).
     QueryState& s = state();
-    // Uncommit first so concurrent readers drop out, then rewind the claim
-    // counters. Resets are quiescent-time operations (tests, bench reruns).
-    for (std::size_t i = 0; i < kMaxRecords; ++i) {
-        s.record_committed[i].store(false, std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < kMaxServeSpans; ++i) {
-        s.span_committed[i].store(false, std::memory_order_relaxed);
-    }
-    s.record_next.store(0, std::memory_order_relaxed);
-    s.span_next.store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kCostSlots; ++i) {
-        s.costs[i].cache_hits.store(0, std::memory_order_relaxed);
-        s.costs[i].cache_misses.store(0, std::memory_order_relaxed);
-        s.costs[i].pool_ns.store(0, std::memory_order_relaxed);
-        s.costs[i].windows.store(0, std::memory_order_relaxed);
-        s.costs[i].id.store(0, std::memory_order_relaxed);
+    s.records.reset();
+    s.spans.reset();
+    for (CostSlot& slot : s.costs) {
+        slot.clear();
+        slot.id.store(0, std::memory_order_relaxed);
     }
     s.dropped.store(0, std::memory_order_relaxed);
 }
@@ -388,88 +237,41 @@ std::string query_log_jsonl() {
     for (const QueryServeSpan& sp : spans) {
         by_id.emplace(sp.trace_id, &sp);
     }
+    const auto us = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e3; };
     std::string out;
     out.reserve(records.size() * 256 + spans.size() * 96);
     for (const QueryRecord& r : records) {
-        out += "{\"schema\":\"bat-query-v1\",\"trace_id\":";
-        append_u64(out, r.trace_id);
-        out += ",\"origin_rank\":";
-        out += std::to_string(r.origin_rank);
-        out += ",\"seq\":";
-        out += std::to_string(r.seq);
-        out += ",\"op\":\"";
-        out += r.op;
-        out += "\",\"start_us\":";
-        append_us(out, r.start_ns);
-        out += ",\"wall_us\":";
-        append_us(out, r.wall_ns);
-        out += ",\"stages\":{\"request_us\":";
-        append_us(out, r.request_ns);
-        out += ",\"serve_us\":";
-        append_us(out, r.serve_ns);
-        out += ",\"merge_us\":";
-        append_us(out, r.merge_ns);
-        out += ",\"local_us\":";
-        append_us(out, r.local_ns);
-        out += "},\"leaves_local\":";
-        out += std::to_string(r.leaves_local);
-        out += ",\"leaves_remote\":";
-        out += std::to_string(r.leaves_remote);
-        out += ",\"request_msgs\":";
-        out += std::to_string(r.request_msgs);
-        out += ",\"bytes_moved\":";
-        append_u64(out, r.bytes_moved);
-        out += ",\"particles\":";
-        append_u64(out, r.particles);
-        out += ",\"cache_hits\":";
-        append_u64(out, r.cache_hits);
-        out += ",\"cache_misses\":";
-        append_u64(out, r.cache_misses);
-        out += ",\"pool_task_us\":";
-        append_us(out, r.pool_task_ns);
-        out += ",\"fastpath_windows\":";
-        append_u64(out, r.fastpath_windows);
-        out += ",\"serve_spans\":[";
+        json::Writer w(out);
+        w.begin_object().field("schema", "bat-query-v1").field("trace_id", r.trace_id);
+        w.field("origin_rank", r.origin_rank).field("seq", r.seq).field("op", r.op);
+        w.field("start_us", us(r.start_ns)).field("wall_us", us(r.wall_ns));
+        w.key("stages").begin_object().field("request_us", us(r.request_ns));
+        w.field("serve_us", us(r.serve_ns)).field("merge_us", us(r.merge_ns));
+        w.field("local_us", us(r.local_ns)).end_object();
+        w.field("leaves_local", r.leaves_local).field("leaves_remote", r.leaves_remote);
+        w.field("request_msgs", r.request_msgs).field("bytes_moved", r.bytes_moved);
+        w.field("particles", r.particles).field("cache_hits", r.cache_hits);
+        w.field("cache_misses", r.cache_misses).field("pool_task_us", us(r.pool_task_ns));
+        w.field("fastpath_windows", r.fastpath_windows).key("serve_spans").begin_array();
         const auto [lo, hi] = by_id.equal_range(r.trace_id);
-        bool first = true;
         for (auto it = lo; it != hi; ++it) {
-            if (!first) {
-                out += ",";
-            }
-            first = false;
-            append_span_json(out, *it->second);
+            write_span(w, *it->second);
         }
         by_id.erase(lo, hi);
-        out += "]}\n";
+        w.end_array().end_object();
+        out += '\n';
     }
     // Anything still unmatched is a serve span whose query never finalized:
     // surfaced, not dropped, so CI can assert zero unattributed spans.
     for (const auto& [id, sp] : by_id) {
-        out += "{\"schema\":\"bat-query-orphan-v1\",\"trace_id\":";
-        append_u64(out, id);
-        out += ",\"origin_rank\":";
-        out += std::to_string(sp->origin_rank);
-        out += ",\"seq\":";
-        out += std::to_string(sp->query_seq);
-        out += ",\"span\":";
-        append_span_json(out, *sp);
-        out += "}\n";
+        json::Writer w(out);
+        w.begin_object().field("schema", "bat-query-orphan-v1").field("trace_id", id);
+        w.field("origin_rank", sp->origin_rank).field("seq", sp->query_seq).key("span");
+        write_span(w, *sp);
+        w.end_object();
+        out += '\n';
     }
     return out;
-}
-
-bool write_query_log(const std::filesystem::path& path) {
-    const std::string expanded = expand_output_path(path.string());
-    std::ofstream f(expanded, std::ios::binary | std::ios::app);
-    if (!f) {
-        BAT_LOG_ERROR("query log: cannot open " << expanded);
-        return false;
-    }
-    const std::string jsonl = query_log_jsonl();
-    f.write(jsonl.data(), static_cast<std::streamsize>(jsonl.size()));
-    BAT_LOG_INFO("query log appended to " << expanded << " (" << jsonl.size()
-                                          << " bytes)");
-    return true;
 }
 
 }  // namespace bat::obs

@@ -1,31 +1,25 @@
 #pragma once
 // Request-scoped query tracing and cost attribution (docs/OBSERVABILITY.md).
 //
-// Phase-level tracing (obs/trace.hpp) and the run report (obs/health.hpp)
-// aggregate by phase and rank, so two concurrent queries in the same
-// DataService round are indistinguishable. This layer gives every
-// DataService::query_round / read_particles invocation an identity — a
-// QueryContext carrying a process-unique trace id, the origin rank, and a
-// per-origin sequence number — and propagates it across rank boundaries
-// inside the coalesced leaf-request framing (io/read_protocol) and through
-// ThreadPool tasks (context-carrying tasks survive work-helping), so work
-// performed *for* a query on any rank or worker thread is attributed to it:
+// Phase tracing and the run report aggregate by phase and rank, so two
+// concurrent queries in one DataService round are indistinguishable. This
+// layer gives every DataService::query_round / read_particles call an
+// identity — a QueryContext with a process-unique trace id, the origin rank
+// and a per-origin sequence number — carried across ranks in the leaf
+// request framing (io/read_protocol) and through ThreadPool tasks, so work
+// done *for* a query anywhere is attributed to it:
 //
-//   - every remotely served leaf becomes one QueryServeSpan (serving rank,
-//     leaf id, wall window, response bytes, cache hit/miss);
-//   - LeafFileCache hits/misses and pool task time land in a lock-free
+//   - every remotely served leaf becomes one QueryServeSpan;
+//   - leaf-cache hits/misses and pool task time land in a lock-free
 //     per-query cost slot via the thread-local current context;
 //   - at round exit the origin emits one QueryRecord (stage breakdown,
-//     leaves local/remote, bytes moved, cache and pool costs, fast-path
-//     windows) into a lock-cheap ring.
+//     leaves, bytes, cache and pool costs, fast-path windows) into a ring.
 //
-// Records and spans are stitched by trace id at export into an append-only
-// JSONL log (one `bat-query-v1` object per line), armed by BAT_QUERY_LOG
-// ("%p" expands to the pid) with 1-in-N sampling via BAT_QUERY_SAMPLE.
-// tools/query_profile reconstructs per-query critical paths from the log.
-// Latency percentiles (p50/p90/p99) per operation type are recorded into
-// the MetricsRegistry regardless of arming, so they always reach the run
-// report.
+// Records and spans are stitched by trace id into an append-only JSONL log
+// (one bat-query-v1 object per line), queries.jsonl in the run bundle under
+// BAT_OBS=query; `bat_obs query` reconstructs critical paths from it.
+// Per-operation latency percentiles go to the MetricsRegistry regardless of
+// arming, so they always reach the run report.
 
 #include <cstdint>
 #include <filesystem>
@@ -70,15 +64,10 @@ QueryContext query_begin(int origin_rank);
 // ---- recording switch -----------------------------------------------------
 
 /// True when ring recording (records, serve spans, cost slots) is on.
-/// Armed automatically when BAT_QUERY_LOG is set; tests and benches toggle
-/// it directly. Latency histograms are recorded regardless.
+/// Armed by BAT_OBS=query; tests and benches toggle it directly. Latency
+/// histograms are recorded regardless.
 bool query_trace_enabled();
 void set_query_trace_enabled(bool on);
-
-/// 1-in-N record sampling (BAT_QUERY_SAMPLE, default 1 = every query).
-/// Applies to ring records only; serve spans follow their record.
-std::uint32_t query_sample_every();
-void set_query_sample_every(std::uint32_t n);
 
 // ---- attribution hooks ----------------------------------------------------
 // All are no-ops (one thread-local read + branch) when no context is
@@ -145,27 +134,16 @@ struct QueryRecord {
 };
 
 /// Snapshot the cost slot for `ctx` into the record's cost fields, push the
-/// record into the ring (subject to sampling), and release the cost slot.
+/// record into the ring, and release the cost slot.
 void query_finalize(QueryRecord record);
 
 // ---- export ----------------------------------------------------------------
 
-/// True once BAT_QUERY_LOG arming (or arm_query_log) registered the
-/// exit-time export.
-bool query_log_armed();
-
-/// Arm the exit-time JSONL export programmatically (tests, benches);
-/// `sample_every` = 0 keeps the current sampling rate.
-void arm_query_log(const std::filesystem::path& path, std::uint32_t sample_every = 0);
-
 /// Render the stitched log: one bat-query-v1 JSON object per line, serve
 /// spans embedded in their record by trace id; spans whose record was never
-/// finalized (or sampled out) become bat-query-orphan-v1 lines so nothing
-/// is silently dropped.
+/// finalized become bat-query-orphan-v1 lines so nothing is silently
+/// dropped.
 std::string query_log_jsonl();
-
-/// Append query_log_jsonl() to `path` ("%p" expands to the pid).
-bool write_query_log(const std::filesystem::path& path);
 
 /// Ring snapshots for tests and in-process consumers.
 std::vector<QueryRecord> query_records();

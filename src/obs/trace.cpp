@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/output_path.hpp"
-#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace bat::obs {
@@ -26,7 +18,6 @@ enum class EventType : std::uint8_t {
     begin,
     end,
     instant,
-    counter,
     flow_start,
     flow_end,
 };
@@ -45,161 +36,116 @@ struct TraceEvent {
     std::uint32_t tid = 0;
 };
 
-/// Single-writer ring: the owning thread stores and bumps head; the
-/// exporter snapshots head with acquire ordering. Overflow overwrites the
-/// oldest events and counts them as dropped.
-struct ThreadBuffer {
-    explicit ThreadBuffer(std::size_t capacity, std::uint32_t tid)
-        : capacity(capacity), tid(tid) {
-        // Reserve (not resize): rank threads are short-lived, and eagerly
-        // zero-filling the full ring costs milliseconds per thread. The data
-        // pointer never moves after this, so the exporter can read entries
-        // below `head` (published with release order) without locking.
-        ring.reserve(capacity);
-    }
-    const std::size_t capacity;
-    std::vector<TraceEvent> ring;  // grows to `capacity`, then wraps
-    std::atomic<std::uint64_t> head{0};  // events ever pushed
-    std::uint32_t tid;
+}  // namespace
 
-    void push(const TraceEvent& ev) {
-        const std::uint64_t h = head.load(std::memory_order_relaxed);
-        if (ring.size() < capacity) {
-            ring.push_back(ev);
-        } else {
-            ring[h % capacity] = ev;
-        }
-        head.store(h + 1, std::memory_order_release);
+/// Single-writer ring: the owning thread stores and bumps head; exporters
+/// snapshot head with acquire ordering. Overflow overwrites the oldest
+/// events. reset_trace() moves `floor` up to head instead of touching the
+/// slots, so it never races the writer.
+struct detail::TraceRing {
+    // Raw storage: only slots that receive events get their pages touched.
+    TraceEvent* events = static_cast<TraceEvent*>(
+        ::operator new(kTraceRingEvents * sizeof(TraceEvent)));
+    std::atomic<std::uint64_t> head{0};
+    std::atomic<std::uint64_t> floor{0};
+    ~TraceRing() { ::operator delete(events); }  // non-copyable: atomics
+
+    /// Surviving events since the last reset: [first, head).
+    std::uint64_t first(std::uint64_t h) const {
+        return std::max(floor.load(std::memory_order_relaxed),
+                        h > kTraceRingEvents ? h - kTraceRingEvents : 0);
     }
 };
 
-struct Registry {
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
+namespace {
+
+using detail::ThreadRecord;
+using detail::TraceRing;
+
+struct TraceState {
+    std::mutex mutex;  // guards everything below
     std::map<std::uint32_t, std::string> virtual_tracks;
-    // Bumped by reset_trace(); threads holding a buffer from an older
-    // generation re-register on their next event. Atomic so the per-event
-    // staleness check stays lock-free.
-    std::atomic<std::uint64_t> generation{0};
+    std::uint32_t next_virtual_tid = 1 << 16;
+    // Rings of exited threads that still hold events; their records' next
+    // owners start fresh rings. Freed by reset_trace().
+    std::vector<TraceRing*> retired;
 };
-
-Registry& registry() {
-    static Registry r;
-    return r;
-}
-
-std::atomic<bool> g_enabled{[] {
-    const char* env = std::getenv("BAT_TRACE");
-    return env != nullptr && std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
-}()};
 
 std::atomic<std::uint64_t> g_flow_counter{0};
-std::atomic<std::uint32_t> g_tid_counter{1};
-std::atomic<std::uint32_t> g_virtual_tid_counter{1 << 16};
 
-std::size_t env_ring_capacity() {
-    if (const char* env = std::getenv("BAT_TRACE_BUFFER")) {
-        const long v = std::atol(env);
-        if (v > 0) {
-            return static_cast<std::size_t>(v);
-        }
-    }
-    return std::size_t{1} << 16;
+TraceState& state() {
+    static auto* s = new TraceState;
+    return *s;
 }
-
-std::atomic<std::size_t> g_ring_capacity{env_ring_capacity()};
 
 std::chrono::steady_clock::time_point trace_epoch() {
     static const auto epoch = std::chrono::steady_clock::now();
     return epoch;
 }
 
-/// Export-at-exit hook, registered once: dumps the trace (and global
-/// metrics) to the paths named by BAT_TRACE_FILE / BAT_METRICS_FILE.
-void register_atexit_export() {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        if (std::getenv("BAT_TRACE_FILE") != nullptr ||
-            std::getenv("BAT_METRICS_FILE") != nullptr) {
-            // Touch every function-local static the handler uses before
-            // std::atexit, so they are constructed first and therefore
-            // destroyed only after the export handler has run.
-            registry();
-            trace_epoch();
-            MetricsRegistry::global();
-            std::atexit([] {
-                // "%p" in either path expands to the pid so concurrent test
-                // processes sharing one env do not clobber each other.
-                if (const char* path = std::getenv("BAT_TRACE_FILE")) {
-                    write_chrome_trace(expand_output_path(path));
-                }
-                if (const char* path = std::getenv("BAT_METRICS_FILE")) {
-                    MetricsRegistry::global().write_json(expand_output_path(path));
-                }
-            });
-        }
-    });
-}
-
-ThreadBuffer& thread_buffer() {
-    struct Holder {
-        std::shared_ptr<ThreadBuffer> buffer;
-        std::uint64_t generation = 0;
-    };
-    thread_local Holder holder;
-    Registry& reg = registry();
-    // Fast path: one relaxed load to confirm the cached buffer is still
-    // registered; re-register after reset_trace() bumped the generation.
-    if (holder.buffer != nullptr &&
-        holder.generation == reg.generation.load(std::memory_order_acquire)) {
-        return *holder.buffer;
+void push_to(ThreadRecord& rec, const TraceEvent& ev) {
+    TraceRing* ring = rec.trace.load(std::memory_order_relaxed);
+    if (ring == nullptr) {
+        ring = new TraceRing;
+        rec.trace.store(ring, std::memory_order_release);
     }
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    holder.buffer = std::make_shared<ThreadBuffer>(
-        g_ring_capacity.load(std::memory_order_relaxed),
-        g_tid_counter.fetch_add(1, std::memory_order_relaxed));
-    holder.generation = reg.generation.load(std::memory_order_relaxed);
-    reg.buffers.push_back(holder.buffer);
-    return *holder.buffer;
+    const std::uint64_t h = ring->head.load(std::memory_order_relaxed);
+    ring->events[h % kTraceRingEvents] = ev;
+    ring->head.store(h + 1, std::memory_order_release);
 }
 
-TraceEvent make_event(EventType type, const char* name, const char* cat) {
+/// Record one event on the calling thread's ring.
+void emit(EventType type, const char* name, const char* cat,
+          std::initializer_list<std::pair<const char*, std::int64_t>> args = {},
+          std::uint64_t flow_id = 0) {
     TraceEvent ev;
     ev.type = type;
     ev.name = name;
     ev.cat = cat;
     ev.ts_ns = trace_now_ns();
     ev.rank = bat::thread_log_rank();
-    return ev;
-}
-
-void push_event(TraceEvent ev) {
-    register_atexit_export();
-    ThreadBuffer& buf = thread_buffer();
-    ev.tid = buf.tid;
-    buf.push(ev);
-}
-
-// ---- export helpers -------------------------------------------------------
-
-void json_escape(std::string& out, const char* s) {
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char hex[8];
-                    std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                    out += hex;
-                } else {
-                    out += c;
-                }
-        }
+    ev.flow_id = flow_id;
+    int i = 0;
+    for (const auto& [arg, value] : args) {
+        ev.arg_names[i] = arg;
+        ev.arg_vals[i++] = value;
     }
+    ThreadRecord& rec = detail::thread_record();
+    ev.tid = rec.tid;
+    push_to(rec, ev);
+}
+
+/// Append `ring`'s surviving events (newest `max` at most) to `out`;
+/// returns the events lost to overflow since the last reset.
+std::uint64_t copy_ring(const TraceRing& ring, std::uint64_t max, std::vector<TraceEvent>& out) {
+    const std::uint64_t h = ring.head.load(std::memory_order_acquire);
+    const std::uint64_t first = ring.first(h);
+    for (std::uint64_t i = h - std::min(h - first, max); i < h; ++i) {
+        out.push_back(ring.events[i % kTraceRingEvents]);
+    }
+    return first - std::min(first, ring.floor.load(std::memory_order_relaxed));
+}
+
+/// Copy every live ring's and exited thread's surviving events (newest
+/// `max_per_ring` per thread at most) and sum the events lost to overflow
+/// since the last reset.
+std::vector<TraceEvent> collect_events(std::uint64_t max_per_ring, std::uint64_t* dropped) {
+    std::vector<TraceEvent> events;
+    std::uint64_t lost = 0;
+    detail::for_each_record([&](const ThreadRecord& rec) {
+        if (const TraceRing* ring = rec.trace.load(std::memory_order_acquire)) {
+            lost += copy_ring(*ring, max_per_ring, events);
+        }
+    });
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    for (const TraceRing* ring : s.retired) {
+        lost += copy_ring(*ring, max_per_ring, events);
+    }
+    if (dropped != nullptr) {
+        *dropped = lost;
+    }
+    return events;
 }
 
 /// Chrome "pid": rank r maps to pid r+1 named "rank r"; rank-less threads
@@ -211,82 +157,64 @@ const char* phase_letter(EventType t) {
         case EventType::begin: return "B";
         case EventType::end: return "E";
         case EventType::instant: return "i";
-        case EventType::counter: return "C";
         case EventType::flow_start: return "s";
         case EventType::flow_end: return "f";
     }
     return "i";
 }
 
-void append_event_json(std::string& out, const TraceEvent& ev) {
-    char num[64];
-    out += "{\"name\":\"";
-    json_escape(out, ev.name != nullptr ? ev.name : "");
-    out += "\",\"cat\":\"";
-    json_escape(out, ev.cat != nullptr ? ev.cat : "");
-    out += "\",\"ph\":\"";
-    out += phase_letter(ev.type);
-    out += "\",\"ts\":";
-    std::snprintf(num, sizeof(num), "%.3f", static_cast<double>(ev.ts_ns) / 1e3);
-    out += num;
-    std::snprintf(num, sizeof(num), ",\"pid\":%d,\"tid\":%u", event_pid(ev), ev.tid);
-    out += num;
+void write_event(json::Writer& w, const TraceEvent& ev) {
+    w.begin_object();
+    w.field("name", ev.name != nullptr ? ev.name : "");
+    w.field("cat", ev.cat != nullptr ? ev.cat : "");
+    w.field("ph", phase_letter(ev.type));
+    w.field("ts", static_cast<double>(ev.ts_ns) / 1e3);
+    w.field("pid", event_pid(ev)).field("tid", ev.tid);
     if (ev.type == EventType::flow_start || ev.type == EventType::flow_end) {
-        std::snprintf(num, sizeof(num), ",\"id\":%llu",
-                      static_cast<unsigned long long>(ev.flow_id));
-        out += num;
+        w.field("id", ev.flow_id);
         if (ev.type == EventType::flow_end) {
-            out += ",\"bp\":\"e\"";
+            w.field("bp", "e");
         }
     }
     if (ev.type == EventType::instant) {
-        out += ",\"s\":\"t\"";
+        w.field("s", "t");
     }
-    bool has_args = false;
-    for (int i = 0; i < 4; ++i) {
-        if (ev.arg_names[i] == nullptr) {
-            continue;
+    if (ev.arg_names[0] != nullptr) {
+        w.key("args").begin_object();
+        for (int i = 0; i < 4 && ev.arg_names[i] != nullptr; ++i) {
+            w.field(ev.arg_names[i], ev.arg_vals[i]);
         }
-        out += has_args ? "," : ",\"args\":{";
-        has_args = true;
-        out += "\"";
-        json_escape(out, ev.arg_names[i]);
-        std::snprintf(num, sizeof(num), "\":%lld",
-                      static_cast<long long>(ev.arg_vals[i]));
-        out += num;
+        w.end_object();
     }
-    if (has_args) {
-        out += "}";
-    }
-    out += "}";
+    w.end_object();
 }
 
-void append_metadata_json(std::string& out, const char* kind, int pid,
-                          std::uint32_t tid, bool with_tid, const std::string& name) {
-    char num[64];
-    out += "{\"name\":\"";
-    out += kind;
-    out += "\",\"ph\":\"M\",\"ts\":0";
-    std::snprintf(num, sizeof(num), ",\"pid\":%d", pid);
-    out += num;
-    if (with_tid) {
-        std::snprintf(num, sizeof(num), ",\"tid\":%u", tid);
-        out += num;
+void write_metadata(json::Writer& w, const char* kind, int pid, const std::uint32_t* tid,
+                    const std::string& name) {
+    w.begin_object().field("name", kind).field("ph", "M").field("ts", 0).field("pid", pid);
+    if (tid != nullptr) {
+        w.field("tid", *tid);
     }
-    out += ",\"args\":{\"name\":\"";
-    json_escape(out, name.c_str());
-    out += "\"}}";
+    w.key("args").begin_object().field("name", name).end_object().end_object();
 }
 
 }  // namespace
 
-bool trace_enabled() { return g_enabled.load(std::memory_order_relaxed); }
+void detail::trace_thread_released(ThreadRecord& rec) {
+    TraceRing* ring = rec.trace.load(std::memory_order_relaxed);
+    if (ring == nullptr ||
+        ring->head.load(std::memory_order_relaxed) == ring->floor.load(std::memory_order_relaxed)) {
+        return;  // nothing to keep: the next owner reuses the ring
+    }
+    rec.trace.store(nullptr, std::memory_order_relaxed);
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.retired.push_back(ring);
+}
 
 void set_trace_enabled(bool on) {
-    g_enabled.store(on, std::memory_order_relaxed);
-    if (on) {
-        register_atexit_export();
-    }
+    trace_epoch();
+    set_component(kTrace, on);
 }
 
 std::uint64_t trace_now_ns() {
@@ -300,70 +228,43 @@ std::uint64_t next_flow_id() {
     return g_flow_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void emit_begin(const char* name, const char* cat) {
-    push_event(make_event(EventType::begin, name, cat));
-}
+void emit_begin(const char* name, const char* cat) { emit(EventType::begin, name, cat); }
 
-void emit_begin_arg(const char* name, const char* cat, const char* arg,
-                    std::int64_t value) {
-    TraceEvent ev = make_event(EventType::begin, name, cat);
-    ev.arg_names[0] = arg;
-    ev.arg_vals[0] = value;
-    push_event(ev);
+void emit_begin_arg(const char* name, const char* cat, const char* arg, std::int64_t value) {
+    emit(EventType::begin, name, cat, {{arg, value}});
 }
 
 void emit_begin_msg(const char* name, const char* cat, int tag, int peer,
                     std::int64_t bytes, std::int64_t wait_us, std::uint64_t qtrace) {
-    TraceEvent ev = make_event(EventType::begin, name, cat);
-    ev.arg_names[0] = "tag";
-    ev.arg_vals[0] = tag;
-    ev.arg_names[1] = "peer";
-    ev.arg_vals[1] = peer;
-    ev.arg_names[2] = "bytes";
-    ev.arg_vals[2] = bytes;
     if (wait_us >= 0) {
-        ev.arg_names[3] = "wait_us";
-        ev.arg_vals[3] = wait_us;
+        emit(EventType::begin, name, cat,
+             {{"tag", tag}, {"peer", peer}, {"bytes", bytes}, {"wait_us", wait_us}});
     } else if (qtrace != 0) {
-        ev.arg_names[3] = "qtrace";
-        ev.arg_vals[3] = static_cast<std::int64_t>(qtrace);
+        emit(EventType::begin, name, cat,
+             {{"tag", tag}, {"peer", peer}, {"bytes", bytes},
+              {"qtrace", static_cast<std::int64_t>(qtrace)}});
+    } else {
+        emit(EventType::begin, name, cat, {{"tag", tag}, {"peer", peer}, {"bytes", bytes}});
     }
-    push_event(ev);
 }
 
-void emit_end(const char* name, const char* cat) {
-    push_event(make_event(EventType::end, name, cat));
-}
+void emit_end(const char* name, const char* cat) { emit(EventType::end, name, cat); }
 
-void emit_instant(const char* name, const char* cat) {
-    push_event(make_event(EventType::instant, name, cat));
-}
-
-void emit_counter(const char* name, const char* cat, std::int64_t value) {
-    TraceEvent ev = make_event(EventType::counter, name, cat);
-    ev.arg_names[0] = "value";
-    ev.arg_vals[0] = value;
-    push_event(ev);
-}
+void emit_instant(const char* name, const char* cat) { emit(EventType::instant, name, cat); }
 
 void emit_flow_start(const char* cat, std::uint64_t flow_id) {
-    TraceEvent ev = make_event(EventType::flow_start, "msg", cat);
-    ev.flow_id = flow_id;
-    push_event(ev);
+    emit(EventType::flow_start, "msg", cat, {}, flow_id);
 }
 
 void emit_flow_end(const char* cat, std::uint64_t flow_id) {
-    TraceEvent ev = make_event(EventType::flow_end, "msg", cat);
-    ev.flow_id = flow_id;
-    push_event(ev);
+    emit(EventType::flow_end, "msg", cat, {}, flow_id);
 }
 
 std::uint32_t new_virtual_track(const std::string& name) {
-    Registry& reg = registry();
-    const std::uint32_t tid = g_virtual_tid_counter.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.virtual_tracks[tid] = name;
-    return tid;
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.virtual_tracks[s.next_virtual_tid] = name;
+    return s.next_virtual_tid++;
 }
 
 void emit_span_on_track(std::uint32_t track, const char* name, const char* cat,
@@ -374,69 +275,50 @@ void emit_span_on_track(std::uint32_t track, const char* name, const char* cat,
     begin.cat = cat;
     begin.ts_ns = ts_ns;
     begin.rank = -1;  // virtual tracks live under the rank-less process
+    begin.tid = track;
     TraceEvent end = begin;
     end.type = EventType::end;
     end.ts_ns = ts_ns + dur_ns;
-    register_atexit_export();
-    ThreadBuffer& buf = thread_buffer();
-    begin.tid = track;
-    end.tid = track;
-    buf.push(begin);
-    buf.push(end);
+    ThreadRecord& rec = detail::thread_record();
+    push_to(rec, begin);
+    push_to(rec, end);
 }
 
 std::uint64_t dropped_events() {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
     std::uint64_t dropped = 0;
-    for (const auto& buf : reg.buffers) {
-        const std::uint64_t head = buf->head.load(std::memory_order_acquire);
-        if (head > buf->capacity) {
-            dropped += head - buf->capacity;
-        }
-    }
+    collect_events(0, &dropped);
     return dropped;
 }
 
 void reset_trace() {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    // Old buffers stay reachable through live threads' thread-local holders
-    // but no longer contribute to exports; each live thread re-registers a
-    // fresh buffer on its next event via the generation check.
-    reg.buffers.clear();
-    reg.virtual_tracks.clear();
-    reg.generation.fetch_add(1, std::memory_order_release);
-}
-
-void set_ring_capacity(std::size_t events) {
-    BAT_CHECK(events > 0);
-    g_ring_capacity.store(events, std::memory_order_relaxed);
+    // Live threads' rings restart at their head; rings no thread owns are
+    // freed (a record without a thread takes no events).
+    detail::for_each_record([](ThreadRecord& rec) {
+        TraceRing* ring = rec.trace.load(std::memory_order_acquire);
+        if (ring != nullptr && rec.live) {
+            ring->floor.store(ring->head.load(std::memory_order_acquire),
+                              std::memory_order_relaxed);
+        } else if (ring != nullptr) {
+            delete rec.trace.exchange(nullptr, std::memory_order_relaxed);
+        }
+    });
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.virtual_tracks.clear();
+    for (TraceRing* ring : s.retired) {
+        delete ring;
+    }
+    s.retired.clear();
 }
 
 std::string chrome_trace_json() {
-    // Snapshot the buffers, then pull each ring's surviving events.
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
+    std::uint64_t dropped = 0;
+    std::vector<TraceEvent> events = collect_events(kTraceRingEvents, &dropped);
     std::map<std::uint32_t, std::string> virtual_tracks;
     {
-        Registry& reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        buffers = reg.buffers;
-        virtual_tracks = reg.virtual_tracks;
-    }
-    std::vector<TraceEvent> events;
-    std::uint64_t dropped = 0;
-    for (const auto& buf : buffers) {
-        const std::uint64_t head = buf->head.load(std::memory_order_acquire);
-        const std::uint64_t cap = buf->capacity;
-        const std::uint64_t count = std::min(head, cap);
-        if (head > cap) {
-            dropped += head - cap;
-        }
-        // Oldest surviving event first, preserving per-thread push order.
-        for (std::uint64_t i = head - count; i < head; ++i) {
-            events.push_back(buf->ring[i % cap]);
-        }
+        TraceState& s = state();
+        std::lock_guard<std::mutex> lock(s.mutex);
+        virtual_tracks = s.virtual_tracks;
     }
     // Stable sort keeps per-thread ordering for equal timestamps, so a
     // begin never trades places with its own end.
@@ -444,82 +326,42 @@ std::string chrome_trace_json() {
                      [](const TraceEvent& a, const TraceEvent& b) {
                          return a.ts_ns < b.ts_ns;
                      });
-
-    std::string out;
-    out.reserve(events.size() * 96 + 4096);
-    out += "{\"traceEvents\":[";
-    bool first = true;
     std::set<int> pids;
     for (const TraceEvent& ev : events) {
         pids.insert(event_pid(ev));
     }
+    std::string out;
+    out.reserve(events.size() * 128 + 4096);
+    json::Writer w(out);
+    w.begin_object().key("traceEvents").begin_array();
     for (const int pid : pids) {
-        if (!first) {
-            out += ",\n";
-        }
-        first = false;
-        append_metadata_json(out, "process_name", pid, 0, false,
-                             pid == 0 ? "process" : "rank " + std::to_string(pid - 1));
+        write_metadata(w, "process_name", pid, nullptr,
+                       pid == 0 ? "process" : "rank " + std::to_string(pid - 1));
     }
     for (const auto& [tid, name] : virtual_tracks) {
-        if (!first) {
-            out += ",\n";
-        }
-        first = false;
-        append_metadata_json(out, "thread_name", 0, tid, true, name);
+        write_metadata(w, "thread_name", 0, &tid, name);
     }
     for (const TraceEvent& ev : events) {
-        if (!first) {
-            out += ",\n";
-        }
-        first = false;
-        append_event_json(out, ev);
+        write_event(w, ev);
     }
-    out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":";
-    out += std::to_string(dropped);
-    out += "}}";
+    w.end_array().field("displayTimeUnit", "ms");
+    w.key("otherData").begin_object().field("dropped_events", dropped).end_object();
+    w.end_object();
     return out;
 }
 
 std::string trace_tail_json(std::size_t max_per_thread) {
     // Flight-recorder view: newest events only, no cross-thread sort, no
-    // metadata. Reading below each ring's release-stored head is safe for
-    // events already published; entries being overwritten concurrently can
-    // at worst surface a stale (whole, never torn) event.
-    std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    {
-        Registry& reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        buffers = reg.buffers;
+    // metadata. Entries being overwritten concurrently can at worst surface
+    // a stale (whole, never torn) event.
+    std::string out;
+    json::Writer w(out);
+    w.begin_array();
+    for (const TraceEvent& ev : collect_events(max_per_thread, nullptr)) {
+        write_event(w, ev);
     }
-    std::string out = "[";
-    bool first = true;
-    for (const auto& buf : buffers) {
-        const std::uint64_t head = buf->head.load(std::memory_order_acquire);
-        const std::uint64_t cap = buf->capacity;
-        const std::uint64_t count = std::min({head, cap, std::uint64_t{max_per_thread}});
-        for (std::uint64_t i = head - count; i < head; ++i) {
-            if (!first) {
-                out += ",\n";
-            }
-            first = false;
-            append_event_json(out, buf->ring[i % cap]);
-        }
-    }
-    out += "]";
+    w.end_array();
     return out;
-}
-
-void write_chrome_trace(const std::filesystem::path& path) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        BAT_LOG_ERROR("trace export: cannot open " << path.string());
-        return;
-    }
-    const std::string json = chrome_trace_json();
-    f.write(json.data(), static_cast<std::streamsize>(json.size()));
-    BAT_LOG_INFO("trace written to " << path.string() << " (" << json.size()
-                                     << " bytes)");
 }
 
 // ---- validation -----------------------------------------------------------

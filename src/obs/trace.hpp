@@ -1,12 +1,12 @@
 #pragma once
 // Low-overhead per-rank span tracer (docs/OBSERVABILITY.md).
 //
-// Threads record fixed-size events into thread-local lock-free ring buffers;
-// recording is a relaxed atomic flag check plus a steady_clock read and a
-// struct store, so instrumented hot paths cost one predictable branch when
-// tracing is disabled. Tracing is enabled via the BAT_TRACE environment
-// variable or set_trace_enabled(); BAT_TRACE_FILE / BAT_METRICS_FILE request
-// an automatic export at process exit.
+// Threads record fixed-size events into lock-free rings kept in their obs
+// thread records (obs/runtime.hpp); recording is a relaxed atomic flag
+// check plus a steady_clock read and a struct store, so instrumented hot
+// paths cost one predictable branch when tracing is disabled. Tracing is
+// armed by BAT_OBS=trace (exported as trace.json in the run bundle) or
+// set_trace_enabled().
 //
 // The export is Chrome trace-event JSON: each vmpi rank becomes a process
 // track (pid), each thread a tid, vmpi messages carry flow ids so send/recv
@@ -20,6 +20,7 @@
 #include <string>
 
 #include "obs/health.hpp"
+#include "obs/runtime.hpp"
 
 namespace bat::obs {
 
@@ -29,9 +30,8 @@ struct Value;
 
 // ---- runtime switch -------------------------------------------------------
 
-/// True when span recording is on. Initialized from BAT_TRACE (any value
-/// other than "0"/"off" enables); cheap enough to call per event.
-bool trace_enabled();
+/// True when span recording is on; one relaxed load, cheap enough per event.
+inline bool trace_enabled() { return (components() & kTrace) != 0; }
 void set_trace_enabled(bool on);
 
 // ---- low-level recording --------------------------------------------------
@@ -55,7 +55,6 @@ void emit_begin_msg(const char* name, const char* cat, int tag, int peer,
                     std::uint64_t qtrace = 0);
 void emit_end(const char* name, const char* cat);
 void emit_instant(const char* name, const char* cat);
-void emit_counter(const char* name, const char* cat, std::int64_t value);
 /// Flow arrows: start is emitted inside the sending span, end inside the
 /// receiving span; `flow_id` pairs them up.
 void emit_flow_start(const char* cat, std::uint64_t flow_id);
@@ -73,7 +72,6 @@ void emit_span_on_track(std::uint32_t track, const char* name, const char* cat,
 
 /// Serialize every thread's buffered events as Chrome trace-event JSON.
 std::string chrome_trace_json();
-void write_chrome_trace(const std::filesystem::path& path);
 
 /// JSON array holding the newest `max_per_thread` events of each thread's
 /// ring, for flight-recorder dumps. Same event objects as
@@ -86,15 +84,14 @@ std::uint64_t dropped_events();
 /// Drop all buffered events (tests and repeated benchmark runs).
 void reset_trace();
 
-/// Ring capacity (events per thread) for buffers created after the call;
-/// also settable via BAT_TRACE_BUFFER. Existing buffers are unchanged.
-void set_ring_capacity(std::size_t events);
+/// Events each thread's ring holds before overwriting its oldest.
+inline constexpr std::size_t kTraceRingEvents = std::size_t{1} << 16;
 
 // ---- validation -----------------------------------------------------------
 
 /// Structural check of a parsed Chrome trace: every begin has a matching
 /// end on its (pid, tid) track, flow ends pair with flow starts, timestamps
-/// are sane. Shared by tools/trace_summarize --validate and the tests.
+/// are sane. Shared by tools/bat_obs and the tests.
 struct TraceCheck {
     bool ok = false;
     std::string error;       // first structural problem found
@@ -107,35 +104,40 @@ TraceCheck validate_chrome_trace(const json::Value& root);
 
 // ---- RAII helpers ---------------------------------------------------------
 
-/// Span over a scope; no-op when tracing was disabled at entry.
+/// Span over a scope: a trace event pair when tracing is on, an open-span
+/// stack frame while span tracking is on; no-op otherwise.
 class SpanScope {
 public:
-    SpanScope(const char* name, const char* cat) : name_(name), cat_(cat) {
-        if (trace_enabled()) {
-            active_ = true;
+    SpanScope(const char* name, const char* cat)
+        : name_(name), cat_(cat), traced_(trace_enabled()), tracked_(span_tracking_enabled()) {
+        if (traced_) {
             emit_begin(name_, cat_);
         }
-        if (span_tracking_enabled()) {
-            tracked_ = true;
-            health_detail::push_span(name_);
+        if (tracked_) {
+            detail::push_span(name_);
         }
     }
     SpanScope(const SpanScope&) = delete;
     SpanScope& operator=(const SpanScope&) = delete;
-    ~SpanScope() {
-        if (active_) {
+    ~SpanScope() { close(); }
+
+    /// End the span early; idempotent.
+    void close() {
+        if (traced_) {
+            traced_ = false;
             emit_end(name_, cat_);
         }
         if (tracked_) {
-            health_detail::pop_span();
+            tracked_ = false;
+            detail::pop_span();
         }
     }
 
 private:
     const char* name_;
     const char* cat_;
-    bool active_ = false;
-    bool tracked_ = false;
+    bool traced_;
+    bool tracked_;
 };
 
 /// Span that also accumulates its duration (seconds) into `*accum` — the
@@ -144,17 +146,8 @@ private:
 class PhaseSpan {
 public:
     PhaseSpan(const char* name, double* accum, const char* cat = "phase")
-        : name_(name), cat_(cat), accum_(accum),
-          t0_(std::chrono::steady_clock::now()), open_(true),
-          traced_(trace_enabled()) {
-        if (traced_) {
-            emit_begin(name_, cat_);
-        }
-        if (span_tracking_enabled()) {
-            tracked_ = true;
-            health_detail::push_span(name_);
-        }
-    }
+        : name_(name), accum_(accum), t0_(std::chrono::steady_clock::now()),
+          span_(name, cat) {}
     PhaseSpan(const PhaseSpan&) = delete;
     PhaseSpan& operator=(const PhaseSpan&) = delete;
     ~PhaseSpan() { close(); }
@@ -174,23 +167,15 @@ public:
         // The run report accumulates the identical duration, so its phase
         // seconds match the timings structs exactly.
         health_detail::record_phase(name_, seconds);
-        if (traced_) {
-            emit_end(name_, cat_);
-        }
-        if (tracked_) {
-            tracked_ = false;
-            health_detail::pop_span();
-        }
+        span_.close();
     }
 
 private:
     const char* name_;
-    const char* cat_;
     double* accum_;
     std::chrono::steady_clock::time_point t0_;
-    bool open_;
-    bool traced_;
-    bool tracked_ = false;
+    SpanScope span_;
+    bool open_ = true;
 };
 
 }  // namespace bat::obs

@@ -11,7 +11,7 @@
 #include <unordered_map>
 
 #include "obs/health.hpp"
-#include "obs/output_path.hpp"
+#include "obs/runtime.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 

@@ -21,7 +21,7 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Accumulates modeled phases into a SimResult and, under BAT_TRACE, lays
+/// Accumulates modeled phases into a SimResult and, while tracing is on, lays
 /// the modeled timeline out on a dedicated virtual track — the same trace
 /// format as the measured pipeline, but on its own tid so modeled spans
 /// never interleave with real ones.

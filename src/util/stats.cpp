@@ -101,17 +101,6 @@ void RunningStats::merge(const RunningStats& other) {
     n_ += other.n_;
 }
 
-RunningStats RunningStats::from_raw(std::size_t count, double mean, double m2,
-                                    double min, double max) {
-    RunningStats rs;
-    rs.n_ = count;
-    rs.mean_ = mean;
-    rs.m2_ = m2;
-    rs.min_ = min;
-    rs.max_ = max;
-    return rs;
-}
-
 double RunningStats::stddev() const {
     if (n_ < 2) {
         return 0.0;

@@ -20,18 +20,13 @@ class RunningStats {
 public:
     void add(double x);
     /// Combine with another accumulator as if both sample streams had been
-    /// added to one (parallel Welford / Chan et al. pairwise update). Used
-    /// for cross-rank metrics reduction (obs/metrics.hpp).
+    /// added to one (parallel Welford / Chan et al. pairwise update).
     void merge(const RunningStats& other);
     std::size_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
     double stddev() const;
     double min() const { return min_; }
     double max() const { return max_; }
-    /// Raw sum of squared deviations (serialization; stddev² · n).
-    double m2() const { return m2_; }
-    static RunningStats from_raw(std::size_t count, double mean, double m2,
-                                 double min, double max);
 
 private:
     std::size_t n_ = 0;

@@ -4,7 +4,6 @@
 
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -139,9 +138,7 @@ void ThreadPool::enqueue(Task t) {
         t.enqueue_ns = obs::trace_now_ns();
     }
     t.qctx = obs::current_query();
-    if (obs::span_tracking_enabled()) {
-        t.origin_span = obs::health_detail::innermost_span();
-    }
+    obs::capture_span_chain(t.origin);
     if (sched::maybe_active()) {
         t.vc = sched::fork_token();  // enqueue→dequeue happens-before edge
     }
@@ -177,12 +174,6 @@ std::size_t ThreadPool::queue_depth() const {
 }
 
 void ThreadPool::worker_loop(std::uint64_t sched_handle) {
-    // Workers participate in CPU sampling for their whole lifetime; the
-    // guard retires this thread's profiler state on any exit path.
-    struct ProfReg {
-        ProfReg() { obs::prof_register_thread("pool"); }
-        ~ProfReg() { obs::prof_unregister_thread(); }
-    } prof_reg;
     sched::AdoptScope adopt(sched_handle);
     for (;;) {
         Task t;
@@ -207,6 +198,7 @@ void ThreadPool::worker_loop(std::uint64_t sched_handle) {
                 continue;
             }
             if (got) {
+                obs::attach_thread("pool");
                 execute(t);
             }
             continue;
@@ -223,6 +215,9 @@ void ThreadPool::worker_loop(std::uint64_t sched_handle) {
             t = std::move(queue_.front());
             queue_.pop_front();
         }
+        // Attach per task, not once at spawn: a pool created before the
+        // profiler started is sampled from its workers' next task on.
+        obs::attach_thread("pool");
         execute(t);
     }
 }
@@ -263,12 +258,9 @@ void ThreadPool::execute(Task& t) {
     // is attributed to that query (best-effort: a task finishing after its
     // query finalized loses its delta, it is never charged elsewhere).
     obs::QueryScope qscope(t.qctx);
-    // Re-open the submit-site span around the body so profiler samples in
-    // this task fold under their originating phase, whichever thread runs it.
-    const bool origin_pushed = t.origin_span != nullptr && obs::span_tracking_enabled();
-    if (origin_pushed) {
-        obs::health_detail::push_span(t.origin_span);
-    }
+    // Attribute samples in the body to the submitter's span chain, not to
+    // whatever this (possibly work-helping) thread has open.
+    const obs::TaskScope origin_scope(t.origin);
     const std::uint64_t qt0 =
         t.qctx.valid() && obs::query_trace_enabled() ? obs::trace_now_ns() : 0;
     try {
@@ -291,9 +283,6 @@ void ThreadPool::execute(Task& t) {
                 // pending_ decrement below keeps waiters sound).
             }
         }
-    }
-    if (origin_pushed) {
-        obs::health_detail::pop_span();
     }
     active_.fetch_sub(1, std::memory_order_relaxed);
     t_executing_groups.pop_back();

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "obs/query_trace.hpp"
+#include "obs/runtime.hpp"
 #include "sched/sched.hpp"
 #include "util/lock_order.hpp"
 
@@ -124,11 +125,10 @@ private:
         // a worker thread — and work-helping, where a comm thread may run a
         // task submitted on behalf of a different query.
         obs::QueryContext qctx;
-        // Innermost span open at the submit site when span tracking was on
-        // (a string literal, or null): re-pushed around the task body so
-        // profiler samples taken inside pool tasks — including work-helping
-        // on a comm thread — attribute back to the phase that spawned them.
-        const char* origin_span = nullptr;
+        // Submitter's span chain when span tracking was on: samples taken
+        // inside the task — including work-helping on another thread — are
+        // attributed to it plus the task's own spans (obs/runtime.hpp).
+        obs::SpanChain origin;
         // Submitter's vector clock under schedule exploration (empty
         // otherwise): the enqueue→dequeue happens-before edge.
         sched::ClockToken vc;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "obs/health.hpp"
-#include "obs/prof.hpp"
 #include "util/log.hpp"
 #include "vmpi/comm.hpp"
 
@@ -212,8 +211,8 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
             // prefix and trace events land on the rank's timeline track.
             set_thread_log_rank(r);
             // Rank threads carry most of the CPU; sample them for their
-            // whole body (cheap no-op when the profiler is off).
-            obs::prof_register_thread("rank");
+            // whole body (one relaxed load when the profiler is off).
+            obs::attach_thread("rank");
             Comm comm(&rt, r);
             if (validator.enabled()) {
                 validator.on_rank_start(r);
@@ -229,7 +228,6 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
             if (validator.enabled()) {
                 validator.on_rank_finish(r);
             }
-            obs::prof_unregister_thread();
             set_thread_log_rank(-1);
         });
     }

@@ -115,6 +115,8 @@ void Validator::on_wait_begin(int rank, const std::string& what) {
         std::lock_guard<std::mutex> lock(rs.desc_mutex);
         rs.wait_desc = what;
     }
+    rs.failed_at.store(kNever, std::memory_order_relaxed);
+    rs.next_test.store(progress_.load(std::memory_order_acquire), std::memory_order_relaxed);
     rs.phase.store(1, std::memory_order_release);
 }
 
@@ -126,11 +128,21 @@ bool Validator::poll_deadlock(int rank) {
     if (deadlock_.load(std::memory_order_acquire)) {
         return true;
     }
-    // Fast path: anybody still running means no deadlock yet.
+    // The test() that just failed started at next_test; the read below is
+    // the value the rank's next test() starts from.
+    RankState& me = *ranks_[static_cast<std::size_t>(rank)];
+    me.failed_at.store(me.next_test.load(std::memory_order_relaxed), std::memory_order_release);
+    const std::uint64_t progress = progress_.load(std::memory_order_acquire);
+    me.next_test.store(progress, std::memory_order_relaxed);
+
+    // Fast path: a rank still running, or a blocked rank that has not yet
+    // failed a test() at the current progress, means no deadlock yet.
     int blocked = 0;
     for (const auto& rs : ranks_) {
         const int phase = rs->phase.load(std::memory_order_acquire);
-        if (phase == 0) {
+        const bool untested =
+            phase == 1 && rs->failed_at.load(std::memory_order_acquire) != progress;
+        if (phase == 0 || untested) {
             return false;
         }
         if (phase == 1) {
@@ -145,7 +157,6 @@ bool Validator::poll_deadlock(int rank) {
     if (deadlock_.load(std::memory_order_acquire)) {
         return true;
     }
-    const std::uint64_t progress = progress_.load(std::memory_order_acquire);
     if (progress != last_progress_) {
         last_progress_ = progress;
         stable_rounds_ = 0;
@@ -174,7 +185,6 @@ bool Validator::poll_deadlock(int rank) {
     deadlock_msg_ = os.str();
     diagnostics_.push_back(Diagnostic{DiagKind::deadlock, -1, deadlock_msg_});
     deadlock_.store(true, std::memory_order_release);
-    (void)rank;
     return true;
 }
 

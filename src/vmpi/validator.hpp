@@ -62,9 +62,9 @@ struct ValidatorOptions {
     /// A pending message passed over by more than this many consuming
     /// receives at the same rank is reported as starved (once).
     int starvation_threshold = 1024;
-    /// Consecutive all-ranks-blocked observations with no runtime progress
-    /// required before declaring deadlock. Guards against declaring while a
-    /// rank is between unblocking and updating its state.
+    /// Consecutive stuck observations (every live rank blocked, each having
+    /// failed its own test() at the current progress value) required before
+    /// declaring deadlock.
     int deadlock_stable_rounds = 256;
 };
 
@@ -114,8 +114,12 @@ public:
     // ---- blocking / deadlock (Request::wait) ---------------------------
     void on_wait_begin(int rank, const std::string& what);
     void on_wait_end(int rank);
-    /// Called after each failed poll inside wait(). Returns true once
-    /// deadlock has been declared; the caller throws DeadlockError.
+    /// Called after each failed test() inside wait(). Returns true once
+    /// deadlock has been declared; the caller throws DeadlockError. A rank
+    /// only counts as stuck once a test() it started at the current
+    /// progress value failed: on_wait_begin and each poll read progress
+    /// before the rank's next test(), so a rank with a deliverable message
+    /// that has not run since the delivery never counts.
     bool poll_deadlock(int rank);
     std::string deadlock_message() const;
 
@@ -128,9 +132,14 @@ private:
     struct RankState {
         // 0 = running, 1 = blocked in wait(), 2 = finished.
         std::atomic<int> phase{0};
+        // Progress read before the rank's next test(), and the value read
+        // before its latest failed one (kNever: none yet in this wait).
+        std::atomic<std::uint64_t> next_test{0};
+        std::atomic<std::uint64_t> failed_at{kNever};
         std::mutex desc_mutex;
         std::string wait_desc;
     };
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
     std::vector<std::unique_ptr<RankState>> ranks_;
 
     std::atomic<std::uint64_t> progress_{0};

@@ -23,11 +23,24 @@ Box GridDecomp::rank_box(int r) const {
 }
 
 Box GridDecomp::rank_read_box(int r) const {
-    Box b = rank_box(r);
+    BAT_CHECK(r >= 0 && r < nranks());
+    const int idx[3] = {r % nx, (r / nx) % ny, r / (nx * ny)};
+    const int n[3] = {nx, ny, nz};
+    Box b;
     for (int a = 0; a < 3; ++a) {
-        if (b.upper[a] >= domain.upper[a]) {
-            b.upper[a] = std::nextafter(domain.upper[a], std::numeric_limits<float>::max());
-        }
+        // Both faces from the grid index with one formula, so neighbours
+        // agree bit-for-bit on the face they share; the domain's upper face
+        // moves just past domain.upper so boundary points keep one owner.
+        const auto face = [&](int i) {
+            if (i == n[a]) {
+                return std::nextafter(domain.upper[a], std::numeric_limits<float>::max());
+            }
+            return domain.lower[a] +
+                   (domain.upper[a] - domain.lower[a]) * static_cast<float>(i) /
+                       static_cast<float>(n[a]);
+        };
+        b.lower[a] = face(idx[a]);
+        b.upper[a] = face(idx[a] + 1);
     }
     return b;
 }

@@ -23,9 +23,10 @@ struct GridDecomp {
     int nranks() const { return nx * ny * nz; }
     /// Bounds of rank r (x-fastest ordering).
     Box rank_box(int r) const;
-    /// Bounds of rank r for half-open restart reads: faces on the domain's
-    /// upper boundary are nudged outward so particles sitting exactly on
-    /// the boundary (e.g. clamped by a generator) keep exactly one owner.
+    /// Bounds of rank r for half-open restart reads. The read boxes tile
+    /// the domain exactly: neighbours share bit-identical faces, and faces
+    /// on the domain's upper boundary sit just past it, so every point of
+    /// the closed domain (e.g. one clamped by a generator) has one owner.
     Box rank_read_box(int r) const;
     /// Rank owning position p (positions outside the domain are clamped).
     int owner(Vec3 p) const;

@@ -68,6 +68,24 @@ TEST(DatasetTest, SpatialQueryMatchesBruteForce) {
     EXPECT_EQ(got.count(), testing::brute_force_query(w.global, box).size());
 }
 
+TEST(DatasetTest, QueryStatsAccumulateAcrossCalls) {
+    WrittenDataset w;
+    Dataset ds(w.meta_path);
+    BatQuery query;
+    query.box = Box({0.4f, 0.2f, 0.9f}, {1.6f, 1.8f, 1.5f});
+    const auto ignore = [](Vec3, std::span<const double>) {};
+    QueryStats once;
+    const std::uint64_t n = ds.query(query, ignore, &once);
+    ASSERT_GT(once.points_tested, 0u);
+    QueryStats twice;
+    ds.query(query, ignore, &twice);
+    ds.query(query, ignore, &twice);
+    EXPECT_EQ(twice.points_emitted, 2 * n);
+    EXPECT_EQ(twice.points_tested, 2 * once.points_tested);
+    EXPECT_EQ(twice.treelet_nodes_visited, 2 * once.treelet_nodes_visited);
+    EXPECT_EQ(twice.shallow_nodes_visited, 2 * once.shallow_nodes_visited);
+}
+
 TEST(DatasetTest, LeafPruningSkipsFiles) {
     WrittenDataset w(40'000, 16 << 10);  // many leaves
     Dataset ds(w.meta_path);

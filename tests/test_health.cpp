@@ -28,7 +28,7 @@
 #include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/output_path.hpp"
+#include "obs/runtime.hpp"
 #include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -175,22 +175,20 @@ TEST(HealthUnitTest, RunReportAccountsMessagesAndRankValues) {
 }
 
 TEST(HealthEnvTest, EnvArmedWatchdogAndReportExitCleanly) {
-    // Regression: BAT_WATCHDOG_SEC arming used to call start_watchdog()
-    // from inside ensure_init's call_once body, re-entering call_once on
-    // its own flag and deadlocking the first health call of any env-armed
-    // process. Re-exec this binary with the full env surface armed: a
-    // fresh process must start the watchdog, run, and exit cleanly with
-    // the atexit hook writing the run report.
+    // Regression: env arming used to start the watchdog from inside a
+    // call_once body that the start path re-entered, deadlocking the first
+    // health call of any env-armed process. Re-exec this binary with
+    // BAT_OBS arming the watchdog and the report: a fresh process must
+    // start the watchdog, run, and exit cleanly with the exit hook writing
+    // the run report into its bundle.
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
     ASSERT_GT(n, 0);
     exe[n] = '\0';
 
     const testing::TempDir dir;
-    const auto report_path = dir.path() / "report.json";
     std::ostringstream cmd;
-    cmd << "BAT_WATCHDOG_SEC=60 BAT_REPORT_FILE='" << report_path.string()
-        << "' BAT_FLIGHT_RECORD_FILE='" << (dir.path() / "flight.json").string()
+    cmd << "BAT_OBS=watchdog,report BAT_OBS_DIR='" << dir.path().string()
         << "' timeout 30 '" << exe
         << "' --gtest_filter=HealthUnitTest.RunReportAccountsMessagesAndRankValues"
         << " >/dev/null 2>&1";
@@ -199,8 +197,14 @@ TEST(HealthEnvTest, EnvArmedWatchdogAndReportExitCleanly) {
     // 124 is timeout(1)'s exit code: the env-armed process hung.
     EXPECT_EQ(WEXITSTATUS(status), 0);
 
-    ASSERT_TRUE(std::filesystem::exists(report_path));
-    EXPECT_EQ(parse_file(report_path).find("schema")->string(), "bat-report-v1");
+    std::vector<std::filesystem::path> bundles;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+        bundles.push_back(entry.path());
+    }
+    ASSERT_EQ(bundles.size(), 1u);
+    EXPECT_EQ(parse_file(bundles[0] / "report.json").find("schema")->string(),
+              "bat-report-v1");
+    EXPECT_TRUE(std::filesystem::exists(bundles[0] / "manifest.json"));
 }
 
 TEST(WatchdogTest, StartStopIsIdempotent) {
@@ -212,6 +216,7 @@ TEST(WatchdogTest, StartStopIsIdempotent) {
     obs::start_watchdog(opts);
     EXPECT_TRUE(obs::watchdog_running());
     EXPECT_TRUE(obs::span_tracking_enabled());
+    EXPECT_TRUE(obs::health_armed());
     obs::start_watchdog(opts);  // restart while running
     EXPECT_TRUE(obs::watchdog_running());
 
@@ -491,7 +496,7 @@ TEST(RunReportTest, CleanTracedRunMatchesPhaseTimingsWithinFivePercent) {
     ASSERT_NE(report.find("io")->find("read.bytes_read"), nullptr);
 
     // The file path ("%p" expanded) round-trips through the same schema.
-    ASSERT_TRUE(obs::write_run_report(dir.path() / "report_%p.json"));
+    ASSERT_TRUE(obs::write_document(dir.path() / "report_%p.json", obs::run_report_json()));
     const auto expanded =
         dir.path() / ("report_" + std::to_string(::getpid()) + ".json");
     ASSERT_TRUE(std::filesystem::exists(expanded));

@@ -1,9 +1,11 @@
 // Tests for the observability layer (docs/OBSERVABILITY.md): span tracer +
-// Chrome-trace export/validation, the JSON parser, the metrics registry and
-// its cross-rank reduction, and the traced 8-rank write+query round trip
-// that CI feeds through tools/trace_summarize --validate.
+// Chrome-trace export/validation, the JSON parser and writer, the metrics
+// registry, the obs runtime's thread registry, and the traced 8-rank
+// write+query round trip that CI feeds through `bat_obs validate`.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -17,7 +19,8 @@
 #include "io/writer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/reduce.hpp"
+#include "obs/prof.hpp"
+#include "obs/runtime.hpp"
 #include "obs/trace.hpp"
 #include "simio/pipeline_model.hpp"
 #include "simio/machine.hpp"
@@ -194,19 +197,45 @@ TEST(ObsTraceTest, ValidateRejectsUnbalancedTrace) {
 }
 
 TEST(ObsTraceTest, RingOverflowCountsDropped) {
-    obs::set_trace_enabled(false);
-    obs::set_ring_capacity(64);
-    obs::reset_trace();
-    obs::set_trace_enabled(true);
-    for (int i = 0; i < 1000; ++i) {
+    fresh_trace(true);
+    const std::size_t emitted = obs::kTraceRingEvents + 1000;
+    for (std::size_t i = 0; i < emitted; ++i) {
         obs::emit_instant("spin", "test");
     }
     obs::set_trace_enabled(false);
-    EXPECT_EQ(obs::dropped_events(), 1000u - 64u);
+    EXPECT_EQ(obs::dropped_events(), 1000u);
     const Value root = obs::json::parse(obs::chrome_trace_json());
-    EXPECT_EQ(root.find("otherData")->find("dropped_events")->number(), 1000.0 - 64.0);
-    obs::set_ring_capacity(std::size_t{1} << 16);
+    EXPECT_EQ(root.find("otherData")->find("dropped_events")->number(), 1000.0);
+    // reset_trace starts a fresh window: nothing is dropped or exported.
     obs::reset_trace();
+    EXPECT_EQ(obs::dropped_events(), 0u);
+    EXPECT_EQ(obs::validate_chrome_trace(obs::json::parse(obs::chrome_trace_json())).num_events,
+              0);
+}
+
+TEST(ObsTraceTest, SuccessiveRunsKeepEveryThreadsEvents) {
+    // Each run's rank thread reuses the previous one's record; together the
+    // runs emit more than one ring's worth, and none of it may be lost.
+    fresh_trace(true);
+    constexpr int kRuns = 3;
+    constexpr int kSpansPerRun = 25'000;  // 50,000 events per rank thread
+    for (int run = 0; run < kRuns; ++run) {
+        vmpi::Runtime::run(1, [](vmpi::Comm&) {
+            for (int i = 0; i < kSpansPerRun; ++i) {
+                BAT_TRACE_SCOPE("test.event");
+            }
+        });
+    }
+    obs::set_trace_enabled(false);
+    static_assert(kRuns * 2 * kSpansPerRun > obs::kTraceRingEvents);
+    EXPECT_EQ(obs::dropped_events(), 0u);
+    const obs::TraceCheck check =
+        obs::validate_chrome_trace(obs::json::parse(obs::chrome_trace_json()));
+    ASSERT_TRUE(check.ok) << check.error;
+    EXPECT_GE(check.num_spans, kRuns * kSpansPerRun);
+    obs::reset_trace();
+    EXPECT_EQ(obs::validate_chrome_trace(obs::json::parse(obs::chrome_trace_json())).num_events,
+              0);
 }
 
 TEST(ObsTraceTest, PhaseSpanAccumulatesWithTracingOff) {
@@ -287,117 +316,105 @@ TEST(ObsMetricsTest, PercentileEdgeCases) {
     }
 }
 
-TEST(ObsMetricsTest, MergeMatchesConcatenation) {
-    obs::MetricsRegistry a;
-    obs::MetricsRegistry b;
-    a.counter("c").add(3);
-    b.counter("c").add(4);
-    b.counter("only_b").add(9);
-    a.gauge("g").set(1.5);
-    b.gauge("g").set(7.25);
-
-    // Deterministic pseudo-random samples split across the two registries.
-    RunningStats ground;
-    std::vector<double> bounds{1, 10, 100, 1000};
-    std::uint64_t x = 12345;
-    for (int i = 0; i < 500; ++i) {
-        x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const double v = static_cast<double>(x % 2000) / 1.7;
-        ground.add(v);
-        (i % 2 == 0 ? a : b).histogram("h", bounds).record(v);
-    }
-
-    a.merge(b);
-    EXPECT_EQ(a.counter("c").value(), 7u);
-    EXPECT_EQ(a.counter("only_b").value(), 9u);
-    EXPECT_DOUBLE_EQ(a.gauge("g").value(), 7.25);
-
-    const RunningStats merged = a.histogram("h").stats();
-    EXPECT_EQ(merged.count(), ground.count());
-    EXPECT_NEAR(merged.mean(), ground.mean(), 1e-9);
-    EXPECT_NEAR(merged.stddev(), ground.stddev(), 1e-9);
-    EXPECT_DOUBLE_EQ(merged.min(), ground.min());
-    EXPECT_DOUBLE_EQ(merged.max(), ground.max());
-}
-
-TEST(ObsMetricsTest, BytesRoundTripPreservesJson) {
+TEST(ObsMetricsTest, JsonExportCarriesEveryKind) {
     obs::MetricsRegistry reg;
     reg.counter("requests").add(17);
     reg.gauge("load").set(0.625);
     reg.histogram("lat", {1, 2, 4}).record(1.5);
     reg.histogram("lat", {1, 2, 4}).record(3.0);
-    const obs::MetricsRegistry back = obs::MetricsRegistry::from_bytes(reg.to_bytes());
-    EXPECT_EQ(back.to_json(), reg.to_json());
-    // And the JSON itself parses.
     const Value v = obs::json::parse(reg.to_json());
     EXPECT_EQ(v.find("counters")->find("requests")->number(), 17.0);
-    EXPECT_EQ(v.find("histograms")->find("lat")->find("count")->number(), 2.0);
+    EXPECT_EQ(v.find("gauges")->find("load")->number(), 0.625);
+    const Value* lat = v.find("histograms")->find("lat");
+    EXPECT_EQ(lat->find("count")->number(), 2.0);
+    ASSERT_EQ(lat->find("buckets")->array().size(), 4u);
+    EXPECT_EQ(lat->find("buckets")->array()[3].find("le")->string(), "inf");
 }
 
-TEST(ObsMetricsTest, ReduceMetricsGathersToRoot) {
-    std::uint64_t root_counter = 0;
-    double root_gauge = -1;
-    std::int64_t root_hist_count = -1;
-    vmpi::Runtime::run(4, [&](vmpi::Comm& comm) {
-        obs::MetricsRegistry local;
-        local.counter("events").add(static_cast<std::uint64_t>(comm.rank()) + 1);
-        local.gauge("peak").set(static_cast<double>(comm.rank()));
-        local.histogram("lat").record(static_cast<double>(comm.rank()) * 10.0);
-        const obs::MetricsRegistry merged = obs::reduce_metrics(comm, local);
-        if (comm.rank() == 0) {
-            const Value v = obs::json::parse(merged.to_json());
-            root_counter = static_cast<std::uint64_t>(v.find("counters")->find("events")->number());
-            root_gauge = v.find("gauges")->find("peak")->number();
-            root_hist_count =
-                static_cast<std::int64_t>(v.find("histograms")->find("lat")->find("count")->number());
-        } else {
-            EXPECT_TRUE(merged.empty());
-        }
-    });
-    EXPECT_EQ(root_counter, 1u + 2u + 3u + 4u);
-    EXPECT_DOUBLE_EQ(root_gauge, 3.0);
-    EXPECT_EQ(root_hist_count, 4);
+TEST(ObsJsonTest, WriterEscapesAndSeparates) {
+    std::string out;
+    obs::json::Writer w(out);
+    w.begin_object().field("s", "a\"b\\c\n\x01").field("i", -3).field("u", 7u);
+    w.field("f", 2.5).field("b", true).key("arr").begin_array().value(1).value("x");
+    w.begin_object().end_object().end_array().key("raw").raw("[null]").end_object();
+    const Value v = obs::json::parse(out);
+    EXPECT_EQ(v.find("s")->string(), "a\"b\\c\n\x01");
+    EXPECT_EQ(v.find("i")->number(), -3.0);
+    EXPECT_EQ(v.find("u")->number(), 7.0);
+    EXPECT_EQ(v.find("f")->number(), 2.5);
+    EXPECT_TRUE(v.find("b")->boolean());
+    ASSERT_EQ(v.find("arr")->array().size(), 3u);
+    EXPECT_TRUE(v.find("raw")->array()[0].is_null());
 }
 
-TEST(ObsMetricsTest, ReduceMetricsSpreadReportsPerRankMinMax) {
-    obs::ReducedMetrics reduced;
-    bool nonroot_empty = true;
-    vmpi::Runtime::run(4, [&](vmpi::Comm& comm) {
-        obs::MetricsRegistry local;
-        // Counter present on every rank with value rank+1: min 1 at rank 0,
-        // max 4 at rank 3, sum 10.
-        local.counter("events").add(static_cast<std::uint64_t>(comm.rank()) + 1);
-        // Counter present on a single rank: absent ranks count as 0.
-        if (comm.rank() == 2) {
-            local.counter("rare").add(7);
-        }
-        obs::ReducedMetrics r = obs::reduce_metrics_spread(comm, local);
-        if (comm.rank() == 0) {
-            reduced = std::move(r);
-        } else if (!r.merged.empty() || !r.counter_spread.empty()) {
-            nonroot_empty = false;
-        }
-    });
-    EXPECT_TRUE(nonroot_empty);
+// ---- runtime: one thread registry ------------------------------------------
 
-    ASSERT_EQ(reduced.counter_spread.count("events"), 1u);
-    const obs::CounterSpread& events = reduced.counter_spread.at("events");
-    EXPECT_EQ(events.min, 1u);
-    EXPECT_EQ(events.min_rank, 0);
-    EXPECT_EQ(events.max, 4u);
-    EXPECT_EQ(events.max_rank, 3);
-    EXPECT_EQ(events.sum, 10u);
+TEST(ObsRuntimeTest, RecordsNeverExceedPeakLiveThreads) {
+    // Under the BAT_OBS re-exec below every component is armed from the
+    // environment; run alone, arm the per-thread ones by hand so every rank
+    // thread takes a record either way.
+    const bool env_armed = !obs::bundle_dir().empty();
+    if (!env_armed) {
+        obs::set_trace_enabled(true);
+        obs::start_profiler();
+    }
+    for (int run = 0; run < 500; ++run) {
+        vmpi::Runtime::run(4, [](vmpi::Comm& comm) {
+            BAT_TRACE_SCOPE("test.run");
+            comm.barrier();
+        });
+        const obs::ThreadRegistryStats stats = obs::thread_registry_stats();
+        ASSERT_LE(stats.records, stats.peak_live) << "after run " << run;
+    }
+    // Finished rank threads hand their records back: 2000 rank threads
+    // over the test, a handful of records.
+    const obs::ThreadRegistryStats stats = obs::thread_registry_stats();
+    EXPECT_GE(stats.records, 1u);
+    EXPECT_LE(stats.records, 8u);
+    if (!env_armed) {
+        obs::stop_profiler();
+        fresh_trace(false);
+    }
+}
 
-    ASSERT_EQ(reduced.counter_spread.count("rare"), 1u);
-    const obs::CounterSpread& rare = reduced.counter_spread.at("rare");
-    EXPECT_EQ(rare.min, 0u);
-    EXPECT_EQ(rare.max, 7u);
-    EXPECT_EQ(rare.max_rank, 2);
-    EXPECT_EQ(rare.sum, 7u);
+TEST(ObsRuntimeTest, EnvArmedRunWritesOneBundle) {
+    char exe[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+    ASSERT_GT(n, 0);
+    exe[n] = '\0';
+    const testing::TempDir dir;
+    std::ostringstream cmd;
+    cmd << "BAT_OBS=trace,report,query,prof,watchdog BAT_OBS_DIR='" << dir.path().string()
+        << "' timeout 600 '" << exe
+        << "' --gtest_filter=ObsRuntimeTest.RecordsNeverExceedPeakLiveThreads"
+        << " >/dev/null 2>&1";
+    const int status = std::system(cmd.str().c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 
-    // The merged registry still matches plain reduce_metrics semantics.
-    const Value v = obs::json::parse(reduced.merged.to_json());
-    EXPECT_EQ(v.find("counters")->find("events")->number(), 10.0);
+    std::vector<std::filesystem::path> bundles;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+        bundles.push_back(entry.path());
+    }
+    ASSERT_EQ(bundles.size(), 1u);
+    EXPECT_EQ(bundles[0].filename().string().rfind("bat-obs-", 0), 0u);
+    const Value manifest = parse_file(bundles[0] / "manifest.json");
+    EXPECT_EQ(manifest.find("schema")->string(), "bat-obs-v1");
+    EXPECT_EQ(manifest.find("components")->array().size(), 5u);
+    const Value* docs = manifest.find("documents");
+    for (const char* doc : {"metrics", "trace", "report", "query"}) {
+        ASSERT_NE(docs->find(doc), nullptr) << doc;
+        EXPECT_TRUE(std::filesystem::exists(bundles[0] / docs->find(doc)->string())) << doc;
+    }
+    const obs::TraceCheck check =
+        obs::validate_chrome_trace(parse_file(bundles[0] / "trace.json"));
+    EXPECT_TRUE(check.ok) << check.error;
+    EXPECT_EQ(parse_file(bundles[0] / "report.json").find("schema")->string(),
+              "bat-report-v1");
+    if (obs::profiler_supported()) {
+        EXPECT_EQ(parse_file(bundles[0] / "prof.json").find("schema")->string(),
+                  "bat-prof-v1");
+    }
 }
 
 // ---- simio virtual tracks -------------------------------------------------
@@ -428,7 +445,7 @@ TEST(ObsSimioTest, ModeledPhasesMatchTraceSpans) {
     }
 }
 
-// ---- the traced end-to-end pipeline (CI runs this via trace_summarize) ----
+// ---- the traced end-to-end pipeline (CI validates it with bat_obs) -------
 
 TEST(TraceRoundTrip, EightRankWriteAndQueryProducesValidTrace) {
     fresh_trace(true);
@@ -470,11 +487,11 @@ TEST(TraceRoundTrip, EightRankWriteAndQueryProducesValidTrace) {
     });
     obs::set_trace_enabled(false);
 
-    // Export through the file path (what BAT_TRACE_FILE does at exit).
+    // Export through the file path (what the BAT_OBS exit hook does).
     const auto trace_path = dir.path() / "trace.json";
     const auto metrics_path = dir.path() / "metrics.json";
-    obs::write_chrome_trace(trace_path);
-    obs::MetricsRegistry::global().write_json(metrics_path);
+    obs::write_document(trace_path, obs::chrome_trace_json());
+    obs::write_document(metrics_path, obs::MetricsRegistry::global().to_json());
 
     EXPECT_EQ(obs::dropped_events(), 0u);
     const Value root = parse_file(trace_path);

@@ -1,7 +1,7 @@
 // Tests for the sampling CPU profiler (obs/prof.hpp): sample capture and
-// span/query attribution, pool-origin propagation, the bat-prof-v1 export
-// and diff, env-variable arming via re-exec, and interaction with the rest
-// of the obs layer (flight records, span-tracking lifetime).
+// span/query attribution, pool-origin propagation under work-helping, the
+// bat-prof-v1 export and diff, BAT_OBS arming via re-exec, and interaction
+// with the rest of the obs layer (flight records, span-tracking lifetime).
 //
 // Sampling is statistical, so assertions are deliberately lenient: tests
 // burn enough CPU for dozens of expected samples and require only a few.
@@ -12,20 +12,23 @@
 
 #include <cstdlib>
 #include <ctime>
+#include <set>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/bat_builder.hpp"
 #include "obs/health.hpp"
 #include "obs/json.hpp"
-#include "obs/output_path.hpp"
 #include "obs/prof.hpp"
 #include "obs/query_trace.hpp"
 #include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
+#include "workloads/uniform.hpp"
 
 using namespace bat;
 using obs::json::Value;
@@ -80,8 +83,7 @@ TEST(ProfTest, UnsupportedPlatformDegradesToNoops) {
     }
     EXPECT_FALSE(obs::start_profiler());
     EXPECT_FALSE(obs::profiler_running());
-    obs::prof_register_thread("main");
-    obs::prof_unregister_thread();
+    obs::attach_thread("main");
     EXPECT_EQ(obs::prof_totals().samples, 0u);
 }
 
@@ -89,7 +91,6 @@ TEST(ProfTest, StartStopCollectsAttributedSamples) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     obs::reset_profiler();
     EXPECT_TRUE(obs::profiler_running());
@@ -123,38 +124,48 @@ TEST(ProfTest, StartStopCollectsAttributedSamples) {
 }
 
 TEST(ProfTest, ReadOwnSpanStackReportsOpenSpans) {
-    const bool prev = obs::span_tracking_enabled();
-    obs::set_span_tracking(true);
-    obs::health_detail::ensure_span_stack();
+    // Any span-stack reader arms tracking; a long-interval watchdog is one.
+    obs::WatchdogOptions dog;
+    dog.interval = std::chrono::seconds(60);
+    obs::start_watchdog(dog);
+    ASSERT_TRUE(obs::span_tracking_enabled());
 
     const char* frames[8] = {};
-    EXPECT_EQ(obs::health_detail::read_own_span_stack(frames, 8), 0);
-    EXPECT_EQ(obs::health_detail::innermost_span(), nullptr);
+    EXPECT_EQ(obs::read_span_chain(frames, 8), 0);
     {
         obs::SpanScope a("unit.a", "test");
         {
             obs::SpanScope b("unit.b", "test");
-            const int depth = obs::health_detail::read_own_span_stack(frames, 8);
+            const int depth = obs::read_span_chain(frames, 8);
             ASSERT_EQ(depth, 2);
             EXPECT_STREQ(frames[0], "unit.a");
             EXPECT_STREQ(frames[1], "unit.b");
-            EXPECT_STREQ(obs::health_detail::innermost_span(), "unit.b");
             // A caller with a smaller buffer gets a clamped prefix.
             const char* one[1] = {};
-            EXPECT_EQ(obs::health_detail::read_own_span_stack(one, 1), 1);
+            EXPECT_EQ(obs::read_span_chain(one, 1), 1);
             EXPECT_STREQ(one[0], "unit.a");
+
+            // Inside a task the chain is the task's origin plus the spans
+            // the task opens; this thread's own frames are hidden.
+            obs::SpanChain origin;
+            origin.frames[0] = "origin.phase";
+            origin.depth = 1;
+            const obs::TaskScope task(origin);
+            obs::SpanScope inner("unit.task", "test");
+            ASSERT_EQ(obs::read_span_chain(frames, 8), 2);
+            EXPECT_STREQ(frames[0], "origin.phase");
+            EXPECT_STREQ(frames[1], "unit.task");
         }
-        EXPECT_EQ(obs::health_detail::read_own_span_stack(frames, 8), 1);
+        EXPECT_EQ(obs::read_span_chain(frames, 8), 1);
     }
-    EXPECT_EQ(obs::health_detail::read_own_span_stack(frames, 8), 0);
-    obs::set_span_tracking(prev);
+    EXPECT_EQ(obs::read_span_chain(frames, 8), 0);
+    obs::stop_watchdog();
 }
 
 TEST(ProfTest, QuerySamplesRollUpByTraceId) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     obs::reset_profiler();
 
@@ -166,21 +177,21 @@ TEST(ProfTest, QuerySamplesRollUpByTraceId) {
     }
     obs::stop_profiler();
 
-    const auto queries = obs::prof_query_counts();
-    std::uint64_t hits = 0;
-    for (const obs::ProfQueryCount& q : queries) {
-        if (q.trace_id == ctx.trace_id) {
-            hits = q.samples;
+    // The bat-prof-v1 "queries" rollup carries the query's samples.
+    double hits = 0;
+    const Value doc = obs::json::parse(obs::profile_json());
+    for (const Value& q : doc.find("queries")->array()) {
+        if (q.find("trace_id")->number() == static_cast<double>(ctx.trace_id)) {
+            hits = q.find("samples")->number();
         }
     }
-    EXPECT_GE(hits, 1u);
+    EXPECT_GE(hits, 1.0);
 }
 
 TEST(ProfTest, PoolWorkerSamplesCarryOriginSpan) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     obs::reset_profiler();
 
@@ -204,11 +215,91 @@ TEST(ProfTest, PoolWorkerSamplesCarryOriginSpan) {
     EXPECT_GE(samples_for_stack(stacks, "test.pool_origin"), 1u);
 }
 
+TEST(ProfTest, WorkHelpingSamplesNestUnderWriterChain) {
+    if (!obs::profiler_supported()) {
+        GTEST_SKIP() << "no per-thread CPU timers on this platform";
+    }
+    ASSERT_TRUE(obs::start_profiler(fast_options()));
+    obs::reset_profiler();
+
+    // A pool-backed build: workers run bat.* tasks, and the writer thread
+    // helps with them inside its own bat.* phases while it waits.
+    ThreadPool pool(2);
+    const ParticleSet particles =
+        make_uniform_particles(Box({0, 0, 0}, {1, 1, 1}), 200'000, 2, 5);
+    for (int i = 0; i < 2; ++i) {
+        obs::SpanScope writer("test.writer", "test");
+        obs::PhaseSpan phase("write.bat_build", nullptr);
+        build_bat(particles, BatConfig{}, &pool);
+    }
+    obs::stop_profiler();
+
+    std::uint64_t bat_samples = 0;
+    for (const obs::ProfStackCount& sc : obs::prof_stack_counts()) {
+        std::string joined;
+        for (const std::string& f : sc.frames) {
+            joined += joined.empty() ? f : ";" + f;
+        }
+        std::set<std::string> seen;
+        for (const std::string& f : sc.frames) {
+            EXPECT_TRUE(seen.insert(f).second) << "label repeats in " << joined;
+        }
+        const auto bat = std::find_if(sc.frames.begin(), sc.frames.end(), [](const auto& f) {
+            return f.rfind("bat.", 0) == 0;
+        });
+        if (bat == sc.frames.end()) {
+            continue;
+        }
+        bat_samples += sc.samples;
+        ASSERT_GE(bat - sc.frames.begin(), 2) << joined;
+        EXPECT_EQ(sc.frames[0], "test.writer") << joined;
+        EXPECT_EQ(sc.frames[1], "write.bat_build") << joined;
+    }
+    EXPECT_GE(bat_samples, 1u);
+}
+
+TEST(ProfTest, PoolCreatedBeforeStartIsSampled) {
+    if (!obs::profiler_supported()) {
+        GTEST_SKIP() << "no per-thread CPU timers on this platform";
+    }
+    // Workers spawned (and idle) before the profiler starts attach on their
+    // next task.
+    ThreadPool pool(2);
+    {
+        TaskGroup warm(pool);
+        warm.run([] {});
+        warm.wait();
+    }
+    ASSERT_TRUE(obs::start_profiler(fast_options()));
+    obs::reset_profiler();
+    constexpr int kTasks = 4;
+    std::atomic<int> done{0};
+    {
+        TaskGroup group(pool);
+        for (int i = 0; i < kTasks; ++i) {
+            group.run([&done] {
+                burn_cpu(40);
+                done.fetch_add(1);
+            });
+        }
+        // Leave every task to the workers instead of helping in wait().
+        while (done.load() < kTasks) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        group.wait();
+    }
+    obs::stop_profiler();
+
+    const Value doc = obs::json::parse(obs::profile_json());
+    const Value* pool_kind = doc.find("kinds")->find("pool");
+    ASSERT_NE(pool_kind, nullptr);
+    EXPECT_GE(pool_kind->find("samples")->number(), 1.0);
+}
+
 TEST(ProfTest, ProfileJsonMatchesSchemaAndFeedsDiff) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     obs::reset_profiler();
     {
@@ -267,7 +358,6 @@ TEST(ProfTest, FlightRecordIncludesProfProviderWhileRunning) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     {
         obs::SpanScope span("test.flight_burn", "test");
@@ -298,7 +388,6 @@ TEST(ProfTest, ResetDropsAggregatesButKeepsRunning) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    obs::prof_register_thread("main");
     ASSERT_TRUE(obs::start_profiler(fast_options()));
     {
         obs::SpanScope span("test.reset_burn", "test");
@@ -327,14 +416,15 @@ TEST(ProfTest, StopKeepsSpanTrackingForArmedHealthLayer) {
     obs::stop_watchdog();
     EXPECT_TRUE(obs::span_tracking_enabled()) << "profiler still sampling";
     obs::stop_profiler();
-    EXPECT_FALSE(obs::span_tracking_enabled());
+    // Flight records (armed whenever BAT_OBS is set) keep reading stacks.
+    EXPECT_EQ(obs::span_tracking_enabled(), (obs::components() & obs::kFlight) != 0);
 }
 
-// Child body for the env re-exec test below: registers with the obs layer
-// (which triggers BAT_PROF_HZ arming in an env-armed process) and burns
-// CPU inside a span. Trivial when run normally — no profiler is started.
+// Child body for the env re-exec test below: burns CPU inside a span on the
+// main thread, which BAT_OBS=prof samples from process start. Trivial when
+// run normally — no profiler is started.
 TEST(ProfTest, RegisterAndBurn) {
-    obs::prof_register_thread("main");
+    obs::attach_thread("main");
     obs::SpanScope span("test.env_burn", "test");
     burn_cpu(100);
 }
@@ -343,39 +433,37 @@ TEST(ProfEnvTest, EnvArmedProcessWritesProfileWithPidExpansion) {
     if (!obs::profiler_supported()) {
         GTEST_SKIP() << "no per-thread CPU timers on this platform";
     }
-    // Re-exec this binary with BAT_PROF_HZ + BAT_PROF_FILE armed: a fresh
-    // process must start sampling at first obs registration, run a
-    // CPU-burning test, and write a valid bat-prof-v1 document at exit with
-    // "%p" expanded to the child's pid.
+    // Re-exec this binary with BAT_OBS=prof: a fresh process must sample
+    // from start-up, run a CPU-burning test, and write a valid bat-prof-v1
+    // document at exit into its pid-named bundle.
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
     ASSERT_GT(n, 0);
     exe[n] = '\0';
 
     const bat::testing::TempDir dir;
-    const std::string tmpl = (dir.path() / "prof_%p.json").string();
     std::ostringstream cmd;
-    cmd << "BAT_PROF_HZ=997 BAT_PROF_FILE='" << tmpl << "' timeout 60 '" << exe
+    cmd << "BAT_OBS=prof BAT_OBS_DIR='" << dir.path().string() << "' timeout 60 '" << exe
         << "' --gtest_filter=ProfTest.RegisterAndBurn"
         << " >/dev/null 2>&1";
     const int status = std::system(cmd.str().c_str());
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
 
-    // One prof_<pid>.json from the child (we don't know its pid; glob).
+    // One bat-obs-<pid> bundle from the child (we don't know its pid; glob).
     std::vector<std::filesystem::path> written;
     for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
         written.push_back(entry.path());
     }
     ASSERT_EQ(written.size(), 1u);
-    EXPECT_EQ(written.front().filename().string().find("prof_"), 0u);
-    EXPECT_EQ(written.front().filename().string().find("%p"), std::string::npos);
+    EXPECT_EQ(written.front().filename().string().find("bat-obs-"), 0u);
+    EXPECT_NE(written.front().filename().string(), "bat-obs-" + std::to_string(::getpid()));
 
-    std::ifstream in(written.front());
+    std::ifstream in(written.front() / "prof.json");
     std::stringstream buf;
     buf << in.rdbuf();
     const Value doc = obs::json::parse(buf.str());
     EXPECT_EQ(doc.find("schema")->string(), "bat-prof-v1");
-    EXPECT_DOUBLE_EQ(doc.find("hz")->number(), 997.0);
+    EXPECT_DOUBLE_EQ(doc.find("hz")->number(), 97.0);
     EXPECT_GE(doc.find("samples")->number(), 1.0);
 }

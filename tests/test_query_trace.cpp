@@ -2,7 +2,7 @@
 // histogram percentile accuracy against exact quantiles, context propagation
 // through the coalesced read protocol and pool work-helping (every served
 // leaf attributed exactly once), accounting identities against the global
-// metrics counters, JSONL schema round-trips, and record sampling.
+// metrics counters, and JSONL schema round-trips.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_trace.hpp"
+#include "obs/runtime.hpp"
 #include "test_helpers.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
@@ -54,12 +55,10 @@ struct Written {
 struct TraceArmed {
     TraceArmed() {
         obs::reset_query_trace();
-        obs::set_query_sample_every(1);
         obs::set_query_trace_enabled(true);
     }
     ~TraceArmed() {
         obs::set_query_trace_enabled(false);
-        obs::set_query_sample_every(1);
         obs::reset_query_trace();
     }
 };
@@ -69,12 +68,11 @@ std::uint64_t counter_value(const char* name) {
 }
 
 std::uint64_t histogram_count(const std::string& name) {
-    for (const auto& h : obs::MetricsRegistry::global().histogram_snapshots()) {
-        if (h.name == name) {
-            return h.count;
-        }
-    }
-    return 0;
+    return static_cast<std::uint64_t>(
+        obs::MetricsRegistry::global()
+            .histogram(name, obs::MetricsRegistry::hdr_us_bounds())
+            .stats()
+            .count());
 }
 
 /// Exact nearest-rank quantile of a sorted sample.
@@ -369,19 +367,21 @@ TEST(QueryTraceTest, JsonlSchemaRoundTrips) {
     EXPECT_FALSE(std::getline(lines, line));
 }
 
+// The query log appends one JSONL line per finalized record.
 TEST(QueryTraceTest, WriteQueryLogAppends) {
     testing::TempDir dir;
     TraceArmed armed;
-    obs::QueryRecord r;
-    r.trace_id = (1ull << 40) | 1;
-    r.origin_rank = 0;
-    r.op = "read.read_particles";
-    r.wall_ns = 1'000'000;
-    r.request_ns = 1'000'000;
-    obs::query_finalize(r);
+    for (std::uint64_t i = 1; i <= 2; ++i) {
+        obs::QueryRecord r;
+        r.trace_id = (1ull << 40) | i;
+        r.origin_rank = 0;
+        r.op = "read.read_particles";
+        r.wall_ns = 1'000'000;
+        r.request_ns = 1'000'000;
+        obs::query_finalize(r);
+    }
     const auto path = dir.path() / "queries.jsonl";
-    ASSERT_TRUE(obs::write_query_log(path));
-    ASSERT_TRUE(obs::write_query_log(path));  // appends, never truncates
+    ASSERT_TRUE(obs::write_document(path, obs::query_log_jsonl()));
     std::ifstream in(path);
     std::string line;
     int lines = 0;
@@ -390,33 +390,6 @@ TEST(QueryTraceTest, WriteQueryLogAppends) {
         ++lines;
     }
     EXPECT_EQ(lines, 2);
-}
-
-// ---- sampling --------------------------------------------------------------
-
-TEST(QueryTraceTest, SamplingIsPureFunctionOfTraceId) {
-    TraceArmed armed;
-    obs::set_query_sample_every(4);
-    for (std::uint64_t n = 1; n <= 8; ++n) {
-        obs::QueryRecord r;
-        r.trace_id = (1ull << 40) | n;
-        r.origin_rank = 0;
-        r.op = "service.query_round";
-        r.wall_ns = 1000;
-        r.request_ns = 1000;
-        obs::query_finalize(r);
-        obs::QueryServeSpan sp;
-        sp.trace_id = r.trace_id;
-        sp.leaf = static_cast<std::int32_t>(n);
-        sp.bytes = 1;
-        obs::query_record_serve_span(sp);
-    }
-    // Low 40 bits mod 4 == 0 → n in {4, 8}: records and their spans agree.
-    const std::vector<obs::QueryRecord> records = obs::query_records();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].trace_id & 0xFF, 4u);
-    EXPECT_EQ(records[1].trace_id & 0xFF, 8u);
-    EXPECT_EQ(obs::query_serve_spans().size(), 2u);
 }
 
 }  // namespace

@@ -119,6 +119,36 @@ TEST(VmpiValidator, TwoRankSendRecvDeadlockIsDetected) {
     EXPECT_NE(msg.find("irecv"), std::string::npos) << msg;
 }
 
+TEST(VmpiValidator, DescheduledRankWithDeliverableMessageIsNotStuck) {
+    // Deterministic replay of the false-deadlock race: rank 1 has a message
+    // waiting but has not run a test() since it arrived, while rank 0 spins
+    // through its polls.
+    ValidatorOptions opts;
+    opts.deadlock_stable_rounds = 4;
+    Validator v(2, opts);
+    v.on_rank_start(0);
+    v.on_rank_start(1);
+    v.on_wait_begin(0, "recv(src=1, tag=1)");
+    v.on_wait_begin(1, "recv(src=0, tag=2)");
+    v.on_progress();  // delivery to rank 1
+    for (int i = 0; i < 64; ++i) {
+        ASSERT_FALSE(v.poll_deadlock(0)) << "declared on rank 0's poll " << i;
+    }
+    // Rank 1 runs, consumes its message, and blocks on the next receive.
+    v.on_wait_end(1);
+    v.on_consumed(1);
+    v.on_wait_begin(1, "recv(src=0, tag=3)");
+    EXPECT_FALSE(v.poll_deadlock(0));
+    // Now both have failed a test() at the current progress: a real
+    // deadlock, declared once it has been stable for the configured rounds.
+    bool declared = false;
+    for (int i = 0; i < 16 && !declared; ++i) {
+        declared = v.poll_deadlock(1) || v.poll_deadlock(0);
+    }
+    EXPECT_TRUE(declared);
+    EXPECT_TRUE(v.take_report().deadlock);
+}
+
 TEST(VmpiValidator, BarrierDeadlockIsDetected) {
     // Rank 1 exits without entering the barrier: rank 0 can never leave it.
     const ValidationReport report = Runtime::run_validated(

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -53,6 +56,49 @@ TEST(DecompTest, RankBoxesTileTheDomain) {
     }
     EXPECT_EQ(unioned, domain);
     EXPECT_NEAR(volume, 6.0f, 1e-3f);
+}
+
+TEST(DecompTest, ReadBoxesOwnEveryFacePointExactlyOnce) {
+    // Awkward float extents, so cell arithmetic rounds; the candidate
+    // coordinates are every face either box formula produces plus the
+    // domain's faces, combined into points on interior faces, edges,
+    // corners and the upper boundary.
+    for (const auto& [domain, nranks] :
+         {std::pair{Box({-1.3f, 0.1f, 2.7f}, {5.9f, 3.3f, 9.1f}), 105},
+          std::pair{Box({0.f, 0.f, 0.f}, {0.7f, 0.3f, 0.9f}), 60},
+          std::pair{Box({0.f, 0.f, 0.f}, {1.1f, 1.3f, 1.7f}), 27}}) {
+        const GridDecomp d = grid_decomp_3d(nranks, domain);
+        std::vector<float> faces[3];
+        for (int r = 0; r < d.nranks(); ++r) {
+            for (int a = 0; a < 3; ++a) {
+                for (const float f : {d.rank_box(r).lower[a], d.rank_box(r).upper[a],
+                                      d.rank_read_box(r).lower[a], domain.upper[a]}) {
+                    if (f >= domain.lower[a] && f <= domain.upper[a]) {
+                        faces[a].push_back(f);
+                    }
+                }
+            }
+        }
+        for (std::vector<float>& f : faces) {
+            std::sort(f.begin(), f.end());
+            f.erase(std::unique(f.begin(), f.end()), f.end());
+        }
+        for (const float x : faces[0]) {
+            for (const float y : faces[1]) {
+                for (const float z : faces[2]) {
+                    const Vec3 p{x, y, z};
+                    int owners = 0;
+                    for (int r = 0; r < d.nranks(); ++r) {
+                        const Box b = d.rank_read_box(r);
+                        owners += p.x >= b.lower.x && p.x < b.upper.x && p.y >= b.lower.y &&
+                                  p.y < b.upper.y && p.z >= b.lower.z && p.z < b.upper.z;
+                    }
+                    ASSERT_EQ(owners, 1) << "point (" << x << ", " << y << ", " << z
+                                         << ") in " << nranks << "-rank grid";
+                }
+            }
+        }
+    }
 }
 
 TEST(DecompTest, OwnerMatchesRankBox) {

@@ -39,14 +39,17 @@
 //     (BAT_BENCH_MAX_PROF_RATIO), prof.attributed_pct >= 90% of samples
 //     carrying a span-stack attribution (BAT_BENCH_MIN_PROF_ATTRIB_PCT),
 //     and every prof.share.bat.* stage sample share within 15 points of the
-//     matching bat.* wall share for stages with >= 10% wall share
-//     (BAT_BENCH_MAX_PROF_SHARE_DELTA).
+//     matching wall share for stages with >= 10% wall share
+//     (BAT_BENCH_MAX_PROF_SHARE_DELTA). The wall share comes from the
+//     prof.wall.bat.* row (same ranks and runs as the samples) when the
+//     document has one, else from the bat.* ns/op rows.
 //
 // Rows carry a `unit` (default "ns/op"); rows whose unit is a plain count
 // (e.g. "msgs") are exempt from the positive-ns_op requirement, since their
 // payload is `n` and a fabricated rate would gate nothing real.
 //
-// A bat-report-v1 document (obs/health.hpp run report, BAT_REPORT_FILE)
+// A bat-report-v1 document (obs/health.hpp run report, report.json in a
+// BAT_OBS run bundle)
 // instead goes through the `report` gate family: schema-validates the run /
 // phases / messages sections, requires at least one write.* or read.* phase
 // with calls >= 1, checks min <= mean <= max for every phase, and checks
@@ -485,9 +488,10 @@ int gate_prof_attrib(const NsByKey& ns_op) {
 }
 
 int gate_prof_shares(const NsByKey& ns_op) {
-    // The builder's internal stages: wall shares come from the bat.* ns/op
-    // rows, sample shares from the prof.share.bat.* rows, both normalized
-    // over this set. A stage with no prof.share row has 0 sampled share
+    // The builder's internal stages: wall shares come from the
+    // prof.wall.bat.* rows when present (percent over the ranks and runs the
+    // samples cover), else from the bat.* ns/op rows; sample shares from the
+    // prof.share.bat.* rows; all normalized over this set. A stage with no prof.share row has 0 sampled share
     // (zero-n rows are not representable in the schema). Only stages with a
     // meaningful wall share (>= 10%) are gated: at ~100 ms of bat_build per
     // run, a 5%-wall stage collects too few 97 Hz samples to bound tightly.
@@ -500,7 +504,8 @@ int gate_prof_shares(const NsByKey& ns_op) {
     for (const char* stage : kStages) {
         std::uint64_t n = 0;
         double ns = 0;
-        if (find_unique(ns_op, stage, &n, &ns)) {
+        if (find_unique(ns_op, std::string("prof.wall.") + stage, &n, &ns) ||
+            find_unique(ns_op, stage, &n, &ns)) {
             wall[stage] = ns;
             wall_total += ns;
         }

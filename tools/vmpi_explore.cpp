@@ -35,6 +35,7 @@
 #include "io/leaf_cache.hpp"
 #include "io/reader.hpp"
 #include "io/writer.hpp"
+#include "obs/health.hpp"
 #include "sched/sched.hpp"
 #include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
@@ -244,11 +245,6 @@ struct SweepConfig {
     }
     opts.deadlock_decisions = cfg.deadlock_decisions;
     opts.record_trace = cfg.replay_trace;
-    if (!cfg.flight_dir.empty()) {
-        const std::string path =
-            cfg.flight_dir + "/flight_seed" + std::to_string(seed) + "_%p.json";
-        ::setenv("BAT_FLIGHT_RECORD_FILE", path.c_str(), 1);
-    }
 
     const RunResult rr = bat::sched::run_scheduled(opts, [&] { cfg.scenario->fn(); });
 
@@ -265,6 +261,10 @@ struct SweepConfig {
     }
     if (status != Status::ok || cfg.replay_trace) {
         std::cerr << "  " << rr.summary() << "\n";
+    }
+    if (status != Status::ok && !cfg.flight_dir.empty()) {
+        bat::obs::dump_flight_record(rr.summary(), cfg.flight_dir + "/flight_seed" +
+                                                       std::to_string(seed) + "_%p.json");
     }
     if (cfg.replay_trace) {
         std::cout << "decision trace (seed " << seed << ", " << rr.trace.size()
@@ -292,9 +292,9 @@ struct SweepConfig {
     ::setenv("BAT_SCHED_DEADLOCK_DECISIONS",
              std::to_string(cfg.deadlock_decisions).c_str(), 1);
     if (!cfg.flight_dir.empty()) {
-        const std::string path =
-            cfg.flight_dir + "/flight_seed" + std::to_string(seed) + "_%p.json";
-        ::setenv("BAT_FLIGHT_RECORD_FILE", path.c_str(), 1);
+        // The child's run bundle (and its flight records) lands in the dir.
+        ::setenv("BAT_OBS", "", 0);
+        ::setenv("BAT_OBS_DIR", cfg.flight_dir.c_str(), 1);
     }
     std::vector<char*> argv;
     argv.reserve(cfg.exec_argv.size() + 1);
