@@ -5,12 +5,13 @@
 // performance model and track regressions.
 //
 // `micro_kernels --json [--out FILE] [--threads N]` instead runs the
-// perf-regression kernel suite (sort/encode/reorder/transfer, before- and
+// perf-regression kernel suite (encode/reorder/transfer, before- and
 // after-optimization variants side by side) and writes bat-bench-v1 JSON to
 // BENCH_micro.json for CI and cross-PR diffing; see docs/PERFORMANCE.md.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "bench_common.hpp"
@@ -20,7 +21,6 @@
 #include "core/karras.hpp"
 #include "util/check.hpp"
 #include "util/morton.hpp"
-#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -175,17 +175,8 @@ BENCHMARK(BM_ParticleSerialize)->Unit(benchmark::kMillisecond);
 
 // ---- perf-regression kernels (--json) -------------------------------------
 
-/// Random Morton-range keys (the builder's sort input distribution).
-std::vector<std::uint64_t> random_codes(std::size_t n, std::uint64_t seed) {
-    Pcg32 rng(seed);
-    std::vector<std::uint64_t> codes(n);
-    for (auto& c : codes) {
-        c = rng.next_u64() & ((std::uint64_t{1} << kMortonBits) - 1);
-    }
-    return codes;
-}
-
-/// The pre-radix builder sort: iota + std::sort with an indirect comparator.
+/// Morton-order permutation of `codes`: iota + std::sort with an indirect
+/// comparator (ties broken by index).
 std::vector<std::uint32_t> std_sort_order(std::span<const std::uint64_t> codes) {
     std::vector<std::uint32_t> order(codes.size());
     std::iota(order.begin(), order.end(), 0u);
@@ -216,26 +207,6 @@ int run_json_kernels(int argc, char** argv) {
                      static_cast<unsigned long long>(n),
                      1e9 * seconds / static_cast<double>(n));
     };
-
-    // Sort: the seed's std::sort path vs the radix sort, serial and pooled.
-    for (const std::size_t n : {std::size_t{1} << 20, std::size_t{1} << 22}) {
-        const std::vector<std::uint64_t> codes = random_codes(n, 0x5eed + n);
-        const std::uint64_t bytes = n * sizeof(std::uint64_t);
-        std::vector<std::uint32_t> order;
-        add("sort_std", n,
-            bench::best_seconds(kReps, [&] { order = std_sort_order(codes); }), bytes, 1);
-        std::vector<std::uint32_t> radix_order;
-        add("sort_radix_serial", n,
-            bench::best_seconds(kReps,
-                                [&] { radix_order = radix_sort_order(codes, nullptr); }),
-            bytes, 1);
-        BAT_CHECK_MSG(radix_order == order, "radix order diverged from std::sort");
-        add("sort_radix_pool", n,
-            bench::best_seconds(kReps,
-                                [&] { radix_order = radix_sort_order(codes, &pool); }),
-            bytes, pool_threads);
-        BAT_CHECK_MSG(radix_order == order, "pooled radix order diverged from std::sort");
-    }
 
     // Encode + reorder + transfer on a 1M-particle set (4 attrs keeps setup fast).
     const std::size_t n = std::size_t{1} << 20;
@@ -294,7 +265,7 @@ int run_json_kernels(int argc, char** argv) {
         BAT_CHECK_MSG(bins == scalar_bins, "simd binning diverged from scalar");
     }
 
-    const std::vector<std::uint32_t> order = radix_sort_order(codes, &pool);
+    const std::vector<std::uint32_t> order = std_sort_order(codes);
     const std::uint64_t payload = set.payload_bytes();
     add("reorder_serial", n,
         bench::best_seconds(kReps, [&] { set.reorder(order, nullptr); }), payload, 1);

@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/morton.hpp"
-#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -143,12 +142,12 @@ std::uint32_t BatData::root_bitmap(std::size_t a) const {
 
 namespace {
 
-/// One particle position plus its Morton rank, the treelet builds' working
-/// layout: the k-d recursion permutes these 16-byte records in place, so
-/// every median select, bounds scan, and LOD swap touches contiguous
-/// cache-resident memory instead of gathering through an index indirection.
-/// `rank` starts as the identity; after the build, the record sequence IS
-/// the final layout and rank recovers the permutation.
+/// One particle position plus its original index, the treelet builds'
+/// working layout: the k-d recursion permutes these 16-byte records in
+/// place, so every median select, bounds scan, and LOD swap touches
+/// contiguous cache-resident memory instead of gathering through an index
+/// indirection. After the build, the record sequence IS the final layout
+/// and `rank` recovers the permutation.
 struct PosRecord {
     float p[3];
     std::uint32_t rank;
@@ -158,7 +157,7 @@ static_assert(sizeof(PosRecord) == 16);
 /// Working state shared by the build steps.
 struct BuildContext {
     const BatConfig& config;
-    std::span<PosRecord> recs;  // Morton-ordered, permuted by treelet builds
+    std::span<PosRecord> recs;  // subprefix buckets, permuted by treelet builds
     Box bounds;
 
     Vec3 pos(std::uint32_t ordered_index) const {
@@ -181,9 +180,10 @@ Box range_bounds(const BuildContext& ctx, std::uint32_t lo, std::uint32_t hi) {
     return b;
 }
 
-/// Stratified sampling of `k` LOD particles from the ordered (spatially
-/// coherent) range [lo, hi): one sample per stratum, swapped to the front
-/// of the range (paper §III-C2 — subsets are taken, never duplicated).
+/// Stratified sampling of `k` LOD particles from the node's range [lo, hi):
+/// one sample per equal-size stratum of the range's current record order,
+/// swapped to the front of the range (paper §III-C2 — subsets are taken,
+/// never duplicated).
 void sample_lod(BuildContext& ctx, std::uint32_t lo, std::uint32_t hi, std::uint32_t k,
                 Pcg32& rng) {
     const std::uint64_t n = hi - lo;
@@ -310,7 +310,7 @@ BatBuildTimings BatBuildTimings::max(const BatBuildTimings& a, const BatBuildTim
 
 BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* pool,
                   BatBuildTimings* timings) {
-    BAT_CHECK(config.subprefix_bits >= 1 && config.subprefix_bits <= 30);
+    BAT_CHECK(config.subprefix_bits >= 1 && config.subprefix_bits <= 16);
     BAT_CHECK(config.lod_per_inner >= 1);
     BAT_CHECK(config.max_leaf_size >= 1);
 
@@ -352,12 +352,12 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
     // take the bounds with the vectorized min/max scan, and batch-encode
     // whole plane spans (BMI2 pdep spread + AVX2 quantize where available).
     constexpr std::size_t kGrain = std::size_t{1} << 14;
-    std::vector<float> xs(n);
-    std::vector<float> ys(n);
-    std::vector<float> zs(n);
     std::vector<std::uint64_t> codes(n);
     {
         obs::PhaseSpan span("bat.encode", accum(&BatBuildTimings::encode));
+        std::vector<float> xs(n);
+        std::vector<float> ys(n);
+        std::vector<float> zs(n);
         particles.deplane_positions(xs.data(), ys.data(), zs.data(), pool);
         simd::minmax_f32(xs.data(), n, &bat.bounds.lower.x, &bat.bounds.upper.x);
         simd::minmax_f32(ys.data(), n, &bat.bounds.lower.y, &bat.bounds.upper.y);
@@ -368,36 +368,8 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         });
     }
 
-    // ---- Morton sort ------------------------------------------------------
-    // Parallel LSD radix sort (stable, ties broken by original index)
-    // replacing the serial comparison sort.
-    std::vector<std::uint32_t> order;
-    {
-        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
-        order = radix_sort_order(codes, pool);
-    }
-
-    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
-
-    // Gather positions and codes into Morton order, positions as 16-byte
-    // {x, y, z, rank} records: every later access (subprefix merge, treelet
-    // bounds, k-d medians, LOD swaps) then runs over contiguous memory —
-    // this is the only pass that gathers through the sort permutation.
-    std::vector<PosRecord> recs(n);
-    std::vector<std::uint64_t> sorted_codes(n);
-    parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t src = order[i];
-            recs[i] = PosRecord{{xs[src], ys[src], zs[src]}, static_cast<std::uint32_t>(i)};
-            sorted_codes[i] = codes[src];
-        }
-    });
-    std::vector<float>().swap(xs);
-    std::vector<float>().swap(ys);
-    std::vector<float>().swap(zs);
-    std::vector<std::uint64_t>().swap(codes);
-
-    // ---- Shallow tree over merged subprefixes (§III-C1) -------------------
+    // ---- Subprefix length (§III-C1) ---------------------------------------
+    // Depends only on n and the config, so it is fixed before any ordering.
     int subprefix_bits = config.subprefix_bits;
     if (config.auto_subprefix) {
         const double want_treelets = std::max(
@@ -407,27 +379,52 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         subprefix_bits = std::clamp(bits, 1, config.subprefix_bits);
     }
     bat.config.subprefix_bits = subprefix_bits;
-    const int shift = kMortonBits - subprefix_bits;
+
+    // ---- Subprefix bucketing ----------------------------------------------
+    // Everything after this reads only the top subprefix_bits of each code:
+    // they cut the treelet ranges and key the shallow tree; the k-d median
+    // splits inside a treelet need no Morton order. So a stable two-pass
+    // counting scatter over the 2^subprefix_bits buckets orders the
+    // particles: a histogram pass, then a pass writing each 16-byte
+    // {x, y, z, original index} record straight into its bucket, in input
+    // order. The non-empty buckets, ascending, are the shallow tree's keys.
+    std::vector<PosRecord> recs(n);
     std::vector<std::uint64_t> unique_prefixes;
-    std::vector<std::uint32_t> range_begin;  // per unique prefix
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t prefix = sorted_codes[i] >> shift;
-        if (unique_prefixes.empty() || unique_prefixes.back() != prefix) {
-            unique_prefixes.push_back(prefix);
-            range_begin.push_back(static_cast<std::uint32_t>(i));
+    std::vector<std::uint32_t> range_begin;  // per unique prefix, plus n
+    {
+        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
+        const int shift = kMortonBits - subprefix_bits;
+        std::vector<std::uint32_t> next(std::size_t{1} << subprefix_bits, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ++next[codes[i] >> shift];
+        }
+        std::uint32_t offset = 0;
+        for (std::size_t b = 0; b < next.size(); ++b) {
+            const std::uint32_t count = next[b];
+            if (count != 0) {
+                unique_prefixes.push_back(b);
+                range_begin.push_back(offset);
+            }
+            next[b] = offset;
+            offset += count;
+        }
+        range_begin.push_back(static_cast<std::uint32_t>(n));
+        const float* pos = particles.positions().data();
+        for (std::size_t i = 0; i < n; ++i) {
+            const float* p = pos + 3 * i;
+            recs[next[codes[i] >> shift]++] =
+                PosRecord{{p[0], p[1], p[2]}, static_cast<std::uint32_t>(i)};
         }
     }
-    range_begin.push_back(static_cast<std::uint32_t>(n));
-    std::vector<std::uint64_t>().swap(sorted_codes);
+    std::vector<std::uint64_t>().swap(codes);
 
+    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
     const RadixTree radix = build_radix_tree(unique_prefixes, subprefix_bits, pool);
 
     // ---- Treelet builds (§III-C2) -----------------------------------------
-    // The builds permute the Morton-ordered records in place; afterwards the
-    // record sequence is the final layout and recs[i].rank composes with the
-    // sort to give the original index. The record values are exactly the
-    // value sequences the original index-gathering build saw, so the k-d
-    // recursion (nth_element, LOD swaps) produces a byte-identical tree.
+    // The builds permute each bucket's records in place; afterwards the
+    // record sequence is the final layout and recs[i].rank is the original
+    // index of the particle at layout position i.
     const std::size_t num_treelets = unique_prefixes.size();
     bat.treelets.resize(num_treelets);
     BuildContext ctx{config, recs, bat.bounds};
@@ -458,13 +455,13 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
     // ---- Final particle order ---------------------------------------------
     {
         obs::PhaseSpan span("bat.reorder", accum(&BatBuildTimings::reorder));
-        // Attributes gather through the composed permutation
-        // final[i] = original[order[recs[i].rank]]; positions come straight
-        // out of the already-permuted records (a sequential copy).
+        // Attributes gather through final[i] = original[recs[i].rank];
+        // positions come straight out of the already-permuted records (a
+        // sequential copy).
         std::vector<std::uint32_t> final_order(n);
         parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-                final_order[i] = order[recs[i].rank];
+                final_order[i] = recs[i].rank;
             }
         });
         particles.reorder_attrs(final_order, pool);

@@ -5,8 +5,9 @@
 // The build runs on each aggregator after it has received its leaf's
 // particles, in two parallel steps:
 //   1. a data-parallel bottom-up build of a *shallow* k-d tree: particles
-//      are Morton-sorted, their 12-bit code subprefixes merged, and a
-//      Karras radix tree built over the merged subprefixes (§III-C1);
+//      are bucketed by their (at most 12-bit) Morton-code subprefix with a
+//      counting scatter, and a Karras radix tree is built over the
+//      non-empty subprefixes (§III-C1);
 //   2. independent top-down builds of a median-split k-d "treelet" inside
 //      each shallow leaf, setting aside a fixed number of stratified-sampled
 //      LOD particles at every inner node so coarse representations need no
@@ -40,7 +41,8 @@ enum class BinningScheme : std::uint32_t {
 struct BatConfig {
     /// Maximum Morton-code subprefix length merged to form the shallow tree
     /// (paper: 12 bits gives satisfactory leaf counts/sizes at the paper's
-    /// multi-million-particle aggregator loads).
+    /// multi-million-particle aggregator loads). At most 16: the build keeps
+    /// one bucket counter per subprefix value.
     int subprefix_bits = 12;
     /// When true (default), the subprefix is shortened for small inputs so
     /// treelets hold roughly `target_treelet_particles` each — without this,
@@ -174,7 +176,7 @@ struct BatData {
 struct BatBuildTimings {
     double edges = 0;     // attribute range + bin-edge scans
     double encode = 0;    // position deplane + batched Morton encode
-    double sort = 0;      // radix sort of the Morton codes
+    double sort = 0;      // counting scatter into subprefix buckets
     double treelets = 0;  // shallow tree + per-treelet k-d builds
     double reorder = 0;   // final gather into layout order
     double bitmaps = 0;   // per-node attribute bitmaps

@@ -220,6 +220,39 @@ void assign_strategy_aggregators(Aggregation& agg, AggStrategy strategy, int nra
     }
 }
 
+/// The metadata's summary of one built leaf (§III-D): counts, attribute
+/// ranges and bin edges, and the root bitmaps.
+LeafReport leaf_report(const BatData& bat, int leaf_id) {
+    LeafReport report;
+    report.leaf_id = leaf_id;
+    report.num_particles = bat.particles.count();
+    report.ranges = bat.attr_ranges;
+    report.edges = bat.attr_edges;
+    report.root_bitmaps.resize(bat.num_attrs());
+    for (std::size_t a = 0; a < bat.num_attrs(); ++a) {
+        report.root_bitmaps[a] = bat.root_bitmap(a);
+    }
+    return report;
+}
+
+/// Build and save the top-level metadata over `reports` (ordered by leaf
+/// id) and add the file's size to `result.bytes_written`: the metadata file
+/// is part of the written volume, and leaving it out inflates
+/// effective-bandwidth numbers (Fig 5).
+void save_metadata(const Aggregation& agg, const std::vector<std::string>& attr_names,
+                   std::span<const LeafReport> reports, const WriterConfig& config,
+                   WriteResult& result) {
+    std::vector<std::string> files;
+    files.reserve(agg.leaves.size());
+    for (std::size_t i = 0; i < agg.leaves.size(); ++i) {
+        files.push_back(leaf_file_name(config.basename, static_cast<int>(i)));
+    }
+    const Metadata meta = build_metadata(agg, attr_names, reports, files);
+    result.metadata_path = config.directory / (config.basename + ".batmeta");
+    meta.save(result.metadata_path);
+    result.bytes_written += std::filesystem::file_size(result.metadata_path);
+}
+
 std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
                                           std::span<const RankInfo> infos, int nranks) {
     std::vector<Assignment> assignments(static_cast<std::size_t>(nranks));
@@ -485,15 +518,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
             bat = build_bat(std::move(particles), bat_config, config.pool, &timings.bat);
         }
 
-        LeafReport report;
-        report.leaf_id = leaf_id;
-        report.num_particles = bat.particles.count();
-        report.ranges = bat.attr_ranges;
-        report.edges = bat.attr_edges;
-        report.root_bitmaps.resize(nattrs);
-        for (std::size_t a = 0; a < nattrs; ++a) {
-            report.root_bitmaps[a] = bat.root_bitmap(a);
-        }
+        LeafReport report = leaf_report(bat, leaf_id);
 
         obs::PhaseSpan span("write.file_write", &timings.file_write);
         const std::string own_file = leaf_file_name(config.basename, leaf_id);
@@ -618,16 +643,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
         // Order reports by leaf id for build_metadata.
         std::sort(reports.begin(), reports.end(),
                   [](const LeafReport& a, const LeafReport& b) { return a.leaf_id < b.leaf_id; });
-        std::vector<std::string> files;
-        files.reserve(agg.leaves.size());
-        for (std::size_t i = 0; i < agg.leaves.size(); ++i) {
-            files.push_back(leaf_file_name(config.basename, static_cast<int>(i)));
-        }
-        const Metadata meta = build_metadata(agg, local.attr_names(), reports, files);
-        meta.save(result.metadata_path);
-        // The metadata file is part of the written volume; leaving it out
-        // inflates effective-bandwidth numbers (Fig 5).
-        result.bytes_written += std::filesystem::file_size(result.metadata_path);
+        save_metadata(agg, local.attr_names(), reports, config, result);
     }
     // Everyone learns the metadata path is ready.
     comm.barrier();
@@ -673,7 +689,6 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
     BAT_CHECK(!per_rank.empty());
     WriteResult result;
     const int nranks = static_cast<int>(per_rank.size());
-    const std::size_t nattrs = per_rank[0].num_attrs();
 
     std::vector<RankInfo> infos(per_rank.size());
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
@@ -687,7 +702,6 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
 
     std::filesystem::create_directories(config.directory);
     std::vector<LeafReport> reports;
-    std::vector<std::string> files;
     for (std::size_t leaf_id = 0; leaf_id < agg.leaves.size(); ++leaf_id) {
         const AggLeaf& leaf = agg.leaves[leaf_id];
         ParticleSet merged(per_rank[0].attr_names());
@@ -700,23 +714,9 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
         const std::string file = leaf_file_name(config.basename, static_cast<int>(leaf_id));
         write_file(config.directory / file, bytes);
         result.bytes_written += bytes.size();
-        files.push_back(file);
-
-        LeafReport report;
-        report.leaf_id = static_cast<int>(leaf_id);
-        report.num_particles = bat.particles.count();
-        report.ranges = bat.attr_ranges;
-        report.edges = bat.attr_edges;
-        report.root_bitmaps.resize(nattrs);
-        for (std::size_t a = 0; a < nattrs; ++a) {
-            report.root_bitmaps[a] = bat.root_bitmap(a);
-        }
-        reports.push_back(std::move(report));
+        reports.push_back(leaf_report(bat, static_cast<int>(leaf_id)));
     }
-    const Metadata meta = build_metadata(agg, per_rank[0].attr_names(), reports, files);
-    result.metadata_path = config.directory / (config.basename + ".batmeta");
-    meta.save(result.metadata_path);
-    result.bytes_written += std::filesystem::file_size(result.metadata_path);
+    save_metadata(agg, per_rank[0].attr_names(), reports, config, result);
     return result;
 }
 

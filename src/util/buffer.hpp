@@ -91,6 +91,9 @@ public:
     void read_into(std::span<T> out) {
         static_assert(std::is_trivially_copyable_v<T>);
         BAT_CHECK_MSG(pos_ + out.size_bytes() <= bytes_.size(), "buffer underrun");
+        if (out.empty()) {
+            return;  // memcpy's pointers must be valid even for 0 bytes
+        }
         std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
         pos_ += out.size_bytes();
     }

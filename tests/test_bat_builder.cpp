@@ -8,11 +8,13 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "core/bat_builder.hpp"
 #include "core/bat_file.hpp"
 #include "test_helpers.hpp"
+#include "util/morton.hpp"
 #include "util/rng.hpp"
 #include "workloads/mixtures.hpp"
 #include "workloads/uniform.hpp"
@@ -218,10 +220,78 @@ TEST(BatBuilderTest, ParallelBuildPreservesPopulation) {
     }
 }
 
+TEST(BatBuilderTest, TreeletsAreAscendingSubprefixBuckets) {
+    // The shallow tree is defined over Morton-code subprefixes (§III-C1):
+    // each treelet is exactly one subprefix bucket, in ascending order.
+    BatConfig fixed;
+    fixed.subprefix_bits = 9;
+    fixed.auto_subprefix = false;
+    for (const BatConfig& config : {BatConfig{}, fixed}) {
+        const BatData bat = build_bat(make_uniform_particles(kUnit, 50'000, 1, 41), config);
+        ASSERT_GT(bat.treelets.size(), 1u);
+        const int shift = kMortonBits - bat.config.subprefix_bits;
+        auto prefix_of = [&](std::size_t i) {
+            return morton_encode_position(bat.particles.position(i), bat.bounds) >> shift;
+        };
+        for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
+            const Treelet& treelet = bat.treelets[t];
+            ASSERT_GT(treelet.num_particles, 0u);
+            const std::uint64_t prefix = prefix_of(treelet.first_particle);
+            for (std::size_t i = treelet.first_particle;
+                 i < treelet.first_particle + treelet.num_particles; ++i) {
+                ASSERT_EQ(prefix_of(i), prefix) << "treelet " << t << " particle " << i;
+            }
+            if (t > 0) {
+                EXPECT_GT(prefix, prefix_of(bat.treelets[t - 1].first_particle));
+            }
+        }
+    }
+}
+
+TEST(BatBuilderTest, TreeletMembershipIndependentOfInputOrder) {
+    // Input order may change the particle order inside a treelet, never
+    // which particles a treelet holds or its bounds.
+    ParticleSet a = make_uniform_particles(kUnit, 40'000, 2, 17);
+    std::vector<std::uint32_t> perm(a.count());
+    std::iota(perm.begin(), perm.end(), 0u);
+    Pcg32 rng(5);
+    for (std::size_t i = perm.size(); i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.next_bounded(static_cast<std::uint32_t>(i))]);
+    }
+    ParticleSet b = a;
+    b.reorder(perm);
+    BatConfig config;
+    config.seed = 3;
+    const BatData original = build_bat(std::move(a), config);
+    const BatData shuffled = build_bat(std::move(b), config);
+    auto treelet_keys = [](const BatData& bat, const Treelet& treelet) {
+        std::vector<testing::ParticleKey> keys;
+        for (std::size_t i = treelet.first_particle;
+             i < treelet.first_particle + treelet.num_particles; ++i) {
+            const Vec3 p = bat.particles.position(i);
+            testing::ParticleKey key{p.x, p.y, p.z, {}};
+            for (std::size_t attr = 0; attr < bat.num_attrs(); ++attr) {
+                key.attrs.push_back(bat.particles.attr(attr)[i]);
+            }
+            keys.push_back(std::move(key));
+        }
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+    ASSERT_GT(original.treelets.size(), 1u);
+    ASSERT_EQ(original.treelets.size(), shuffled.treelets.size());
+    for (std::size_t t = 0; t < original.treelets.size(); ++t) {
+        EXPECT_EQ(original.treelets[t].bounds, shuffled.treelets[t].bounds) << "treelet " << t;
+        EXPECT_EQ(treelet_keys(original, original.treelets[t]),
+                  treelet_keys(shuffled, shuffled.treelets[t]))
+            << "treelet " << t;
+    }
+}
+
 TEST(BatBuilderTest, PoolBuildByteIdenticalToSerial) {
-    // Every parallel decomposition in the build (radix sort blocks, encode
-    // chunks, treelet grains, reorder) must be schedule-independent: a
-    // pooled build serializes to exactly the bytes the serial build makes.
+    // Every parallel decomposition in the build (encode chunks, treelet
+    // grains, reorder) must be schedule-independent: a pooled build
+    // serializes to exactly the bytes the serial build makes.
     ParticleSet a = make_uniform_particles(kUnit, 60'000, 3, 123);
     ParticleSet b = a;
     BatConfig config;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "vmpi/comm.hpp"
@@ -14,7 +15,7 @@ namespace {
 
 Bytes make_payload(int value, std::size_t size = 8) {
     Bytes b(size);
-    std::memcpy(b.data(), &value, sizeof(int));
+    std::memcpy(b.data(), &value, std::min(size, sizeof(int)));
     return b;
 }
 

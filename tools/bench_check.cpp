@@ -2,9 +2,6 @@
 // (from `bench/micro_kernels --json` or `bench/read_pipeline --json`) and
 // applies every gate family whose rows are present:
 //
-//   radix — the builder's sort must never regress past std::sort: both
-//     sort_radix_serial and sort_radix_pool must beat sort_std at every
-//     n >= 1M;
 //   simd — the vector kernel tiers must pay for their dispatch:
 //     morton_encode_simd >= 1.5x over morton_encode_scalar and
 //     bitmap_bin_simd >= 1.0x over bitmap_bin_scalar at n >= 1M (rows are
@@ -103,36 +100,6 @@ bool find_unique(const NsByKey& ns_op, const std::string& name, std::uint64_t* n
 // ---- gate families --------------------------------------------------------
 // Each returns the number of comparisons it checked (0 = rows absent, so
 // the family does not apply), or -1 on failure after printing the reason.
-
-int gate_radix(const NsByKey& ns_op) {
-    constexpr std::uint64_t kGateMin = 1u << 20;
-    int gated = 0;
-    for (const auto& [key, std_ns] : ns_op) {
-        const auto& [kernel, n] = key;
-        if (kernel != "sort_std" || n < kGateMin) {
-            continue;
-        }
-        for (const char* radix : {"sort_radix_serial", "sort_radix_pool"}) {
-            const auto it = ns_op.find({radix, n});
-            if (it == ns_op.end()) {
-                fail(std::string(radix) + " missing at n=" + std::to_string(n));
-                return -1;
-            }
-            const double speedup = std_ns / it->second;
-            std::printf("bench_check: n=%-9llu %-18s %8.2f ns/op vs sort_std %8.2f "
-                        "(%.2fx)\n",
-                        static_cast<unsigned long long>(n), radix, it->second, std_ns,
-                        speedup);
-            if (speedup < 1.0) {
-                fail(std::string(radix) + " slower than sort_std at n=" +
-                     std::to_string(n));
-                return -1;
-            }
-            ++gated;
-        }
-    }
-    return gated;
-}
 
 int gate_serve(const NsByKey& ns_op) {
     constexpr std::uint64_t kGateMin = 1u << 20;
@@ -797,8 +764,8 @@ int run(int argc, char** argv) {
 
     int gated = 0;
     for (const auto gate :
-         {gate_radix, gate_simd, gate_serve, gate_msgs, gate_querytrace,
-          gate_series, gate_prof_overhead, gate_prof_attrib, gate_prof_shares}) {
+         {gate_simd, gate_serve, gate_msgs, gate_querytrace, gate_series,
+          gate_prof_overhead, gate_prof_attrib, gate_prof_shares}) {
         const int checked = gate(ns_op);
         if (checked < 0) {
             return 1;
@@ -811,7 +778,7 @@ int run(int argc, char** argv) {
     }
     gated += checked;
     if (gated == 0) {
-        return fail("no gateable rows (sort_*, morton_encode_*, bitmap_bin_*, "
+        return fail("no gateable rows (morton_encode_*, bitmap_bin_*, "
                     "write.bat_build, read.serve_*, read.msgs_*, read.total_*, "
                     "series.*, prof.*) found");
     }
