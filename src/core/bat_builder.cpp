@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -197,6 +198,67 @@ void sample_lod(BuildContext& ctx, std::uint32_t lo, std::uint32_t hi, std::uint
     }
 }
 
+/// Ranges at or below this size are finished by insertion sort.
+constexpr std::ptrdiff_t kSelectSortBelow = 16;
+
+/// Reorder [first, last) so that `*nth` is the record a full sort by
+/// p[axis] would put there, every record before it has a key <= its key and
+/// every record after it a key >= (std::nth_element's contract). Quickselect
+/// with a median-of-3 pivot and a branchless Lomuto partition: each step
+/// swaps unconditionally and advances the boundary by the comparison
+/// result, so random keys cost no mispredicted branch per record. A second
+/// pass over the upper side gathers the keys equal to the pivot, so
+/// all-equal and lattice coordinates finish in one round. After
+/// 2·log2(n) rounds the rest goes to std::nth_element (introselect), which
+/// bounds the worst case at O(n log n).
+void select_on_axis(PosRecord* first, PosRecord* nth, PosRecord* last, int axis) {
+    int rounds = 2 * static_cast<int>(std::bit_width(static_cast<std::size_t>(last - first)));
+    while (last - first > kSelectSortBelow) {
+        if (rounds-- == 0) {
+            std::nth_element(first, nth, last, [axis](const PosRecord& a, const PosRecord& b) {
+                return a.p[axis] < b.p[axis];
+            });
+            return;
+        }
+        const float a = first->p[axis];
+        const float b = first[(last - first) / 2].p[axis];
+        const float c = last[-1].p[axis];
+        const float pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+        // [first, lt) < pivot <= [lt, it): moving a record >= pivot to lt
+        // and the old *lt (also >= pivot, or *it itself) to it keeps that.
+        PosRecord* lt = first;
+        for (PosRecord* it = first; it != last; ++it) {
+            const PosRecord r = *it;
+            *it = *lt;
+            *lt = r;
+            lt += r.p[axis] < pivot;
+        }
+        if (nth < lt) {
+            last = lt;
+            continue;
+        }
+        PosRecord* eq = lt;
+        for (PosRecord* it = lt; it != last; ++it) {
+            const PosRecord r = *it;
+            *it = *eq;
+            *eq = r;
+            eq += r.p[axis] == pivot;
+        }
+        if (nth < eq) {
+            return;  // *nth holds the pivot key
+        }
+        first = eq;
+    }
+    for (PosRecord* it = first + 1; it < last; ++it) {
+        const PosRecord r = *it;
+        PosRecord* hole = it;
+        for (; hole != first && r.p[axis] < hole[-1].p[axis]; --hole) {
+            *hole = hole[-1];
+        }
+        *hole = r;
+    }
+}
+
 struct TreeletBuilder {
     BuildContext& ctx;
     Treelet& treelet;
@@ -234,11 +296,7 @@ struct TreeletBuilder {
         const Box rest_bounds = range_bounds(ctx, rest_lo, hi);
         const int axis = rest_bounds.longest_axis();
         const std::uint32_t mid = rest_lo + (hi - rest_lo) / 2;
-        std::nth_element(ctx.recs.begin() + rest_lo, ctx.recs.begin() + mid,
-                         ctx.recs.begin() + hi,
-                         [axis](const PosRecord& a, const PosRecord& b) {
-                             return a.p[axis] < b.p[axis];
-                         });
+        select_on_axis(&ctx.recs[rest_lo], &ctx.recs[mid], ctx.recs.data() + hi, axis);
         node.axis = static_cast<std::uint8_t>(axis);
         node.split = ctx.recs[mid].p[axis];
 
@@ -495,25 +553,37 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         // byte-identical treelet blocks on disk.
         auto hash_pass = [&](std::size_t t) {
             Treelet& treelet = bat.treelets[t];
-            std::uint64_t h = 0xcbf29ce484222325ull;
-            // Word-wise multiply-xorshift mix: the hash only ever meets
-            // hashes computed by this same code on the previous step (it is
-            // never persisted), and byte-at-a-time FNV would make the hash
-            // pass cost as much as the delta path saves on file writes.
-            auto mix = [&h](const void* data, std::size_t bytes) {
+            // Word-wise multiply-xorshift mix over four independent lanes:
+            // the hash only ever meets hashes computed by this same code on
+            // the previous step (it is never persisted), so it is free to
+            // trade a portable definition for speed. One lane would chain
+            // every word through a multiply; four let them overlap.
+            constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+            std::uint64_t lane[4] = {0xcbf29ce484222325ull, 0x84222325cbf29ce4ull,
+                                     0x9ce484222325cbf2ull, 0x2325cbf29ce48422ull};
+            auto step = [](std::uint64_t h, std::uint64_t w) {
+                h = (h ^ w) * kMul;
+                return h ^ (h >> 29);
+            };
+            auto mix = [&](const void* data, std::size_t bytes) {
                 const auto* p = static_cast<const unsigned char*>(data);
                 std::size_t i = 0;
+                for (; i + 32 <= bytes; i += 32) {
+                    std::uint64_t w[4];
+                    std::memcpy(w, p + i, 32);
+                    for (int j = 0; j < 4; ++j) {
+                        lane[j] = step(lane[j], w[j]);
+                    }
+                }
                 for (; i + 8 <= bytes; i += 8) {
                     std::uint64_t w;
                     std::memcpy(&w, p + i, 8);
-                    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
-                    h ^= h >> 29;
+                    lane[0] = step(lane[0], w);
                 }
                 if (i < bytes) {
                     std::uint64_t tail = 0;
                     std::memcpy(&tail, p + i, bytes - i);
-                    h = (h ^ (tail + bytes)) * 0x9e3779b97f4a7c15ull;
-                    h ^= h >> 29;
+                    lane[0] = step(lane[0], tail + bytes);
                 }
             };
             mix(&treelet.num_particles, sizeof(treelet.num_particles));
@@ -529,6 +599,10 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
                 const auto vals = bat.particles.attr(a).subspan(
                     treelet.first_particle, treelet.num_particles);
                 mix(vals.data(), vals.size_bytes());
+            }
+            std::uint64_t h = 0;
+            for (const std::uint64_t l : lane) {
+                h = step(h, l);  // a fold, so swapped lane states differ
             }
             treelet.hash = h;
         };

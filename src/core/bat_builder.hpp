@@ -137,7 +137,7 @@ struct Treelet {
     /// Per node, per attribute: the node's 32-bit binned bitmap
     /// (nodes.size() * num_attrs entries, node-major).
     std::vector<std::uint32_t> bitmaps;
-    /// Content hash (word-wise multiply-xorshift) over the treelet's
+    /// Content hash (four-lane word-wise multiply-xorshift) over the treelet's
     /// serialized payload: counts, depth, bounds, nodes, bitmaps,
     /// positions, and attribute values. Only comparable against hashes
     /// from the same build (never persisted). Zero unless
@@ -179,7 +179,8 @@ struct BatBuildTimings {
     double sort = 0;      // counting scatter into subprefix buckets
     double treelets = 0;  // shallow tree + per-treelet k-d builds
     double reorder = 0;   // final gather into layout order
-    double bitmaps = 0;   // per-node attribute bitmaps
+    double bitmaps = 0;   // per-node attribute bitmaps, plus the treelet
+                          // content hashes when hash_treelets is set
 
     BatBuildTimings& operator+=(const BatBuildTimings& o);
     /// Component-wise max (for "slowest rank" reductions).

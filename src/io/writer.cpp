@@ -113,7 +113,7 @@ struct Assignment {
 /// References are flattened — treelet_file[t] always names the file that
 /// physically holds the block, never an intermediate delta file.
 struct LeafDeltaState {
-    std::vector<std::uint64_t> hashes;        // per treelet, FNV-1a 64
+    std::vector<std::uint64_t> hashes;        // per treelet, multiply-xorshift
     std::vector<std::uint32_t> num_points;    // per treelet
     std::vector<std::string> treelet_file;    // per treelet, physical holder
     std::vector<std::uint32_t> treelet_index; // per treelet, index in holder

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -24,11 +25,17 @@ namespace {
 
 const Box kUnit({0, 0, 0}, {1, 1, 1});
 
-/// Walk a treelet and verify its structural invariants; returns the set of
-/// particle indices covered by own-point ranges (each exactly once).
-void check_treelet(const Treelet& treelet, const BatConfig& config) {
+/// Walk a treelet and verify its structural invariants: node ranges and
+/// counts, every particle owned by exactly one node, and the median-split
+/// contract queries rely on (the left child holds floor(rest / 2) points,
+/// all with p[axis] <= split; the right child's points are all >= split and
+/// the smallest is the split value itself).
+void check_treelet(const BatData& bat, const Treelet& treelet, const BatConfig& config) {
     ASSERT_FALSE(treelet.nodes.empty());
     std::vector<int> covered(treelet.num_particles, 0);
+    auto coord = [&](std::uint32_t i, int axis) {
+        return bat.particles.position(treelet.first_particle + i)[axis];
+    };
     std::function<void(std::size_t, std::uint32_t, std::uint32_t, int)> walk =
         [&](std::size_t index, std::uint32_t lo, std::uint32_t hi, int depth) {
             const TreeletNode& node = treelet.nodes[index];
@@ -55,7 +62,20 @@ void check_treelet(const Treelet& treelet, const BatConfig& config) {
             ASSERT_LT(right, treelet.nodes.size());
             const std::uint32_t inner_lo = lo + node.own_count;
             const TreeletNode& left_child = treelet.nodes[index + 1];
+            ASSERT_EQ(left_child.count, (hi - inner_lo) / 2) << "node " << index;
             const std::uint32_t mid = inner_lo + left_child.count;
+            ASSERT_LT(node.axis, 3);
+            for (std::uint32_t i = inner_lo; i < mid; ++i) {
+                ASSERT_LE(coord(i, node.axis), node.split)
+                    << "node " << index << " left point " << i;
+            }
+            float right_min = coord(mid, node.axis);
+            for (std::uint32_t i = mid; i < hi; ++i) {
+                ASSERT_GE(coord(i, node.axis), node.split)
+                    << "node " << index << " right point " << i;
+                right_min = std::min(right_min, coord(i, node.axis));
+            }
+            EXPECT_EQ(right_min, node.split) << "node " << index;
             walk(index + 1, inner_lo, mid, depth + 1);
             walk(right, mid, hi, depth + 1);
         };
@@ -83,7 +103,7 @@ TEST(BatBuilderTest, SingleParticle) {
     ASSERT_EQ(bat.treelets.size(), 1u);
     ASSERT_EQ(bat.shallow_nodes.size(), 1u);
     EXPECT_TRUE(bat.shallow_nodes[0].is_leaf());
-    check_treelet(bat.treelets[0], bat.config);
+    check_treelet(bat, bat.treelets[0], bat.config);
 }
 
 TEST(BatBuilderTest, PreservesParticlePopulation) {
@@ -121,7 +141,7 @@ TEST(BatBuilderTest, TreeletStructureInvariants) {
     const BatConfig config;
     const BatData bat = build_bat(make_uniform_particles(kUnit, 30'000, 2, 9), config);
     for (const Treelet& treelet : bat.treelets) {
-        check_treelet(treelet, config);
+        check_treelet(bat, treelet, config);
     }
 }
 
@@ -216,7 +236,7 @@ TEST(BatBuilderTest, ParallelBuildPreservesPopulation) {
     const BatData bat = build_bat(std::move(set), BatConfig{}, &pool);
     EXPECT_EQ(testing::particle_keys(bat.particles), before);
     for (const Treelet& treelet : bat.treelets) {
-        check_treelet(treelet, bat.config);
+        check_treelet(bat, treelet, bat.config);
     }
 }
 
@@ -596,7 +616,7 @@ TEST(BatBuilderTest, ClusteredDataStillValid) {
     const BatData bat = build_bat(std::move(set), BatConfig{});
     EXPECT_EQ(testing::particle_keys(bat.particles), before);
     for (const Treelet& treelet : bat.treelets) {
-        check_treelet(treelet, bat.config);
+        check_treelet(bat, treelet, bat.config);
     }
 }
 
@@ -610,7 +630,7 @@ TEST(BatBuilderTest, CoincidentParticlesHandled) {
     const BatData bat = build_bat(std::move(set), BatConfig{});
     EXPECT_EQ(bat.particles.count(), 500u);
     ASSERT_EQ(bat.treelets.size(), 1u);
-    check_treelet(bat.treelets[0], bat.config);
+    check_treelet(bat, bat.treelets[0], bat.config);
 }
 
 class BatBuilderParams
@@ -626,8 +646,118 @@ TEST_P(BatBuilderParams, InvariantsAcrossConfigurations) {
     const BatData bat = build_bat(std::move(set), config);
     EXPECT_EQ(testing::particle_keys(bat.particles), before);
     for (const Treelet& treelet : bat.treelets) {
-        check_treelet(treelet, config);
+        check_treelet(bat, treelet, config);
     }
+}
+
+/// Musser's median-of-3 killer: a permutation of 1..n that makes a
+/// quickselect pivot chosen as the median of the first, middle and last
+/// keys split off only a few records per round.
+std::vector<float> median_of_3_killer(std::size_t n) {
+    const std::size_t k = n / 2;
+    std::vector<float> keys(n, static_cast<float>(n));  // odd n: n goes last
+    for (std::size_t i = 1; i <= k; ++i) {
+        keys[i - 1] = static_cast<float>(i % 2 == 1 ? i : k + i - 1);
+        keys[k + i - 1] = static_cast<float>(2 * i);
+    }
+    return keys;
+}
+
+/// Coordinate layouts that stress the median select: ties, presorted runs
+/// and an adversarial pivot sequence.
+enum class Layout { lattice, few_values, sorted_x, reverse_x, median_of_3_killer };
+
+ParticleSet structured_particles(Layout layout, std::size_t n) {
+    ParticleSet set(uniform_attr_names(1));
+    Pcg32 rng(29);
+    const std::vector<float> killer = median_of_3_killer(n);
+    const float scale = 1.f / static_cast<float>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        Vec3 p;
+        switch (layout) {
+            case Layout::lattice:  // dam-break column: 16 x 8 cells per z layer
+                p = {static_cast<float>(i % 16) * 0.01f,
+                     static_cast<float>(i / 16 % 8) * 0.01f,
+                     static_cast<float>(i / 128) * 0.01f};
+                break;
+            case Layout::few_values:
+                p = {0.5f * static_cast<float>(rng.next_bounded(3)),
+                     0.5f * static_cast<float>(rng.next_bounded(3)),
+                     0.5f * static_cast<float>(rng.next_bounded(3))};
+                break;
+            case Layout::sorted_x:
+                p = {static_cast<float>(i) * scale, rng.next_float(), rng.next_float()};
+                break;
+            case Layout::reverse_x:
+                p = {static_cast<float>(n - i) * scale, rng.next_float(), rng.next_float()};
+                break;
+            case Layout::median_of_3_killer:  // x = y = 0: one treelet, z splits
+                p = {0.f, 0.f, killer[i] * scale};
+                break;
+        }
+        const auto v = static_cast<double>(i);
+        set.push_back(p, std::span(&v, 1));
+    }
+    return set;
+}
+
+TEST_P(BatBuilderParams, SplitContractOnStructuredInputs) {
+    const auto [lod, leaf, n] = GetParam();
+    BatConfig config;
+    config.lod_per_inner = lod;
+    config.max_leaf_size = leaf;
+    for (const Layout layout : {Layout::lattice, Layout::few_values, Layout::sorted_x,
+                                Layout::reverse_x, Layout::median_of_3_killer}) {
+        SCOPED_TRACE(static_cast<int>(layout));
+        ParticleSet set = structured_particles(layout, static_cast<std::size_t>(n));
+        const auto before = testing::particle_keys(set);
+        const BatData bat = build_bat(std::move(set), config);
+        EXPECT_EQ(testing::particle_keys(bat.particles), before);
+        for (const Treelet& treelet : bat.treelets) {
+            check_treelet(bat, treelet, config);
+        }
+    }
+}
+
+TEST(BatBuilderTest, MedianOfThreeKillerBuildsInNLogN) {
+    // One treelet over an adversarial z sequence. The select's round limit
+    // hands a range that keeps splitting badly to std::nth_element, so the
+    // build costs within a small factor of the same particles in random
+    // order (~2x); without the limit it is quadratic (~9x at this size).
+    constexpr std::size_t kN = std::size_t{1} << 17;
+    BatConfig config;
+    config.auto_subprefix = false;
+    config.subprefix_bits = 1;
+    const ParticleSet killer = structured_particles(Layout::median_of_3_killer, kN);
+    std::vector<std::uint32_t> perm(kN);
+    std::iota(perm.begin(), perm.end(), 0u);
+    Pcg32 rng(11);
+    for (std::size_t i = perm.size(); i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.next_bounded(static_cast<std::uint32_t>(i))]);
+    }
+    ParticleSet shuffled = killer;
+    shuffled.reorder(perm);
+    auto best_build_seconds = [&](const ParticleSet& set) {
+        double best = 1e30;
+        for (int rep = 0; rep < 3; ++rep) {
+            ParticleSet copy = set;
+            const auto t0 = std::chrono::steady_clock::now();
+            const BatData bat = build_bat(std::move(copy), config);
+            best = std::min(best, std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count());
+            if (rep == 0) {
+                EXPECT_EQ(bat.treelets.size(), 1u);
+                for (const Treelet& treelet : bat.treelets) {
+                    check_treelet(bat, treelet, config);
+                }
+            }
+        }
+        return best;
+    };
+    const double killer_s = best_build_seconds(killer);
+    const double shuffled_s = best_build_seconds(shuffled);
+    EXPECT_LT(killer_s, 4 * shuffled_s) << killer_s << " s vs " << shuffled_s << " s";
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, BatBuilderParams,

@@ -15,6 +15,9 @@
 //     (BAT_BENCH_MAX_BAT_BUILD_NS) — absolute ceilings are calibrated for
 //     the reference host and trip spuriously on slower machines, so prefer
 //     seeding with the same host's previous run;
+//   bat_tiling — the write pipeline's bat.* stage rows must sum to no more
+//     than its write.bat_build row: both come from the same rank, and the
+//     stages run one after another inside that phase;
 //   series — incremental series writes (bench/series_pipeline --json) must
 //     pay off on slowly-evolving data: for every series.<workload> row
 //     group, steady-state delta steps must write <= 0.40x the bytes of the
@@ -100,6 +103,10 @@ bool find_unique(const NsByKey& ns_op, const std::string& name, std::uint64_t* n
 // ---- gate families --------------------------------------------------------
 // Each returns the number of comparisons it checked (0 = rows absent, so
 // the family does not apply), or -1 on failure after printing the reason.
+
+/// build_bat's stage rows (the bat.* spans), in build order.
+const char* const kBatStages[] = {"bat.edges",    "bat.encode",  "bat.sort",
+                                  "bat.treelets", "bat.reorder", "bat.bitmaps"};
 
 int gate_serve(const NsByKey& ns_op) {
     constexpr std::uint64_t kGateMin = 1u << 20;
@@ -267,6 +274,44 @@ int gate_bat_build(const NsByKey& ns_op, const NsByKey* seed) {
                 static_cast<unsigned long long>(n), ns, ceiling);
     if (ns > ceiling) {
         fail("write.bat_build above the " + std::to_string(ceiling) + " ns/op ceiling");
+        return -1;
+    }
+    return 1;
+}
+
+int gate_bat_tiling(const NsByKey& ns_op) {
+    // The bat.* stage rows come from the rank whose build is the
+    // write.bat_build row, and the stages run one after another inside that
+    // phase, so they must sum to no more than it.
+    std::uint64_t n = 0;
+    double bat_build = 0;
+    if (!find_unique(ns_op, "write.bat_build", &n, &bat_build)) {
+        return 0;
+    }
+    double sum = 0;
+    int stages = 0;
+    for (const char* stage : kBatStages) {
+        std::uint64_t stage_n = 0;
+        double ns = 0;
+        if (find_unique(ns_op, stage, &stage_n, &ns)) {
+            if (stage_n != n) {
+                fail(std::string(stage) + " ran at a different n than write.bat_build");
+                return -1;
+            }
+            sum += ns;
+            ++stages;
+        }
+    }
+    if (stages == 0) {
+        return 0;
+    }
+    std::printf("bench_check: n=%-9llu bat.* sum        %8.2f ns/op vs write.bat_build "
+                "%8.2f (%.3fx)\n",
+                static_cast<unsigned long long>(n), sum, bat_build,
+                bat_build > 0 ? sum / bat_build : 0.0);
+    // Rows are printed to 0.001 ns/op; allow only that rounding.
+    if (sum > bat_build + 0.0005 * (stages + 1)) {
+        fail("bat.* stages sum above write.bat_build: they must come from the same rank");
         return -1;
     }
     return 1;
@@ -462,13 +507,11 @@ int gate_prof_shares(const NsByKey& ns_op) {
     // (zero-n rows are not representable in the schema). Only stages with a
     // meaningful wall share (>= 10%) are gated: at ~100 ms of bat_build per
     // run, a 5%-wall stage collects too few 97 Hz samples to bound tightly.
-    static const char* kStages[] = {"bat.edges",    "bat.encode",  "bat.sort",
-                                    "bat.treelets", "bat.reorder", "bat.bitmaps"};
     double wall_total = 0;
     std::map<std::string, double> wall;
     std::map<std::string, double> sampled;
     bool any_share_row = false;
-    for (const char* stage : kStages) {
+    for (const char* stage : kBatStages) {
         std::uint64_t n = 0;
         double ns = 0;
         if (find_unique(ns_op, std::string("prof.wall.") + stage, &n, &ns) ||
@@ -493,7 +536,7 @@ int gate_prof_shares(const NsByKey& ns_op) {
         return -1;
     }
     int gated = 0;
-    for (const char* stage : kStages) {
+    for (const char* stage : kBatStages) {
         const double wall_share =
             wall.count(stage) != 0 ? 100.0 * wall[stage] / wall_total : 0.0;
         const double sample_share = sampled.count(stage) != 0 ? sampled[stage] : 0.0;
@@ -764,7 +807,7 @@ int run(int argc, char** argv) {
 
     int gated = 0;
     for (const auto gate :
-         {gate_simd, gate_serve, gate_msgs, gate_querytrace, gate_series,
+         {gate_simd, gate_serve, gate_msgs, gate_querytrace, gate_bat_tiling, gate_series,
           gate_prof_overhead, gate_prof_attrib, gate_prof_shares}) {
         const int checked = gate(ns_op);
         if (checked < 0) {
