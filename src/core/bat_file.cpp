@@ -249,7 +249,10 @@ template <typename T>
 std::span<const T> view_array(std::span<const std::byte> bytes, std::uint64_t offset,
                               std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
-    BAT_CHECK_MSG(offset + count * sizeof(T) <= bytes.size(), "BAT file truncated");
+    // Offsets and counts come from the file: compare without computing
+    // offset + count * sizeof(T), which a hostile header can wrap.
+    BAT_CHECK_MSG(offset <= bytes.size() && count <= (bytes.size() - offset) / sizeof(T),
+                  "BAT file truncated");
     const auto addr = reinterpret_cast<std::uintptr_t>(bytes.data() + offset);
     BAT_CHECK_MSG(addr % alignof(T) == 0, "misaligned BAT array");
     return {reinterpret_cast<const T*>(bytes.data() + offset), count};

@@ -1,6 +1,7 @@
 #include "core/bat_query.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -44,6 +45,7 @@ struct QueryContext {
     /// ranges); empty when no attribute filters are present.
     std::vector<std::uint32_t> query_bitmaps;  // parallel to query.attr_filters
     std::vector<double> attr_scratch;          // one value per file attribute
+    std::vector<std::uint32_t> selection;      // passing indices of one window
 
     // Explicit traversal stacks (reused across treelets). Recursion depth
     // scales with tree height, and the serve path now runs queries on pool
@@ -60,18 +62,6 @@ struct QueryContext {
         bool contained = false;
     };
     std::vector<ShallowFrame> shallow_stack;
-
-    bool box_contains(Vec3 p) const {
-        if (!query.box) {
-            return true;
-        }
-        const Box& b = *query.box;
-        if (query.inclusive_upper) {
-            return b.contains(p);
-        }
-        return p.x >= b.lower.x && p.x < b.upper.x && p.y >= b.lower.y && p.y < b.upper.y &&
-               p.z >= b.lower.z && p.z < b.upper.z;
-    }
 
     bool box_overlaps(const Box& region) const {
         return !query.box || query.box->overlaps(region);
@@ -116,24 +106,73 @@ struct QueryContext {
         }
     }
 
-    /// Exact per-point check (removes bitmap false positives) and emit.
-    /// `skip_box` elides the containment test when the node's region is
-    /// already known to be inside the query box.
-    void test_and_emit(const BatTreeletView& view, std::uint32_t i, bool skip_box) {
-        ++stats.points_tested;
-        const Vec3 p = view.position(i);
-        if (!skip_box && !box_contains(p)) {
-            return;
+    /// Bit j is set when point j of the n <= 64 interleaved positions at
+    /// `xyz` lies in `b` (upper faces inclusive or half-open).
+    template <bool Inclusive>
+    static std::uint64_t box_mask(const Box& b, const float* xyz, std::uint32_t n) {
+        const auto below = [](float v, float hi) { return Inclusive ? v <= hi : v < hi; };
+        std::uint64_t mask = 0;
+        for (std::uint32_t j = 0; j < n; ++j) {
+            const float* p = xyz + 3 * std::size_t{j};
+            const bool in = (p[0] >= b.lower.x) & below(p[0], b.upper.x) &
+                            (p[1] >= b.lower.y) & below(p[1], b.upper.y) &
+                            (p[2] >= b.lower.z) & below(p[2], b.upper.z);
+            mask |= std::uint64_t{in} << j;
         }
-        for (const AttrFilter& f : query.attr_filters) {
-            const double v = view.attrs[f.attr][i];
-            if (v < f.lo || v > f.hi) {
-                return;
+        return mask;
+    }
+
+    /// Bit j is set when values[j] passes the filter. Written as
+    /// !(v < lo) & !(v > hi) so a NaN passes, as the per-point check did.
+    static std::uint64_t filter_mask(const double* values, std::uint32_t n,
+                                     const AttrFilter& f) {
+        std::uint64_t mask = 0;
+        for (std::uint32_t j = 0; j < n; ++j) {
+            const bool in = !(values[j] < f.lo) & !(values[j] > f.hi);
+            mask |= std::uint64_t{in} << j;
+        }
+        return mask;
+    }
+
+    /// Exact check of the window [begin, end) (removes bitmap false
+    /// positives), one 64-bit selection mask per 64-point block, then emit
+    /// the passing points in ascending order. `skip_box` elides the
+    /// containment test when the node's region is inside the query box.
+    void select_window(const BatTreeletView& view, std::uint32_t begin, std::uint32_t end,
+                       bool skip_box) {
+        stats.points_tested += end - begin;
+        selection.clear();
+        const bool test_box = !skip_box && query.box.has_value();
+        for (std::uint32_t block = begin; block < end; block += 64) {
+            const std::uint32_t n = std::min<std::uint32_t>(64, end - block);
+            std::uint64_t mask = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+            if (test_box) {
+                const float* xyz = view.positions.data() + 3 * std::size_t{block};
+                mask &= query.inclusive_upper ? box_mask<true>(*query.box, xyz, n)
+                                              : box_mask<false>(*query.box, xyz, n);
+            }
+            for (const AttrFilter& f : query.attr_filters) {
+                if (mask == 0) {
+                    break;
+                }
+                mask &= filter_mask(view.attrs[f.attr].data() + block, n, f);
+            }
+            for (; mask != 0; mask &= mask - 1) {
+                selection.push_back(block + static_cast<std::uint32_t>(std::countr_zero(mask)));
             }
         }
-        fill_scratch(view, i);
-        ++stats.points_emitted;
-        sink.point(p, attr_scratch);
+        if (selection.empty()) {
+            return;
+        }
+        stats.points_emitted += selection.size();
+        if (sink.gather) {
+            sink.gather(view, selection);
+            return;
+        }
+        for (const std::uint32_t i : selection) {
+            fill_scratch(view, i);
+            sink.point(view.position(i), attr_scratch);
+        }
     }
 
     /// Fully-matching contiguous window [begin, end): bulk-emit through the
@@ -171,6 +210,19 @@ struct QueryContext {
             treelet_stack.pop_back();
             const TreeletNode& node = view.nodes[frame.node];
             ++stats.treelet_nodes_visited;
+            // Node fields come from the file: everything the window kernel
+            // and the descent dereference must stay inside this treelet.
+            BAT_CHECK_MSG(node.own_count <= view.num_points &&
+                              node.start <= view.num_points - node.own_count,
+                          "treelet node points past its treelet");
+            if (!node.is_leaf()) {
+                BAT_CHECK_MSG(node.axis < 3, "treelet node split axis out of range");
+                BAT_CHECK_MSG(frame.node + 1 < view.nodes.size() &&
+                                  static_cast<std::uint32_t>(node.right_child) > frame.node &&
+                                  static_cast<std::size_t>(node.right_child) <
+                                      view.nodes.size(),
+                              "treelet node child index out of range");
+            }
             if (!frame.contained && !box_overlaps(frame.region)) {
                 ++stats.pruned_by_box;
                 continue;
@@ -187,13 +239,11 @@ struct QueryContext {
             // Progressive window over the node's own points.
             const std::uint32_t n_lo = points_at_depth(t_lo, frame.depth, node.own_count);
             const std::uint32_t n_hi = points_at_depth(t_hi, frame.depth, node.own_count);
-            if (frame.contained && !filtered) {
-                if (n_hi > n_lo) {
+            if (n_hi > n_lo) {
+                if (frame.contained && !filtered) {
                     emit_range(view, node.start + n_lo, node.start + n_hi);
-                }
-            } else {
-                for (std::uint32_t i = node.start + n_lo; i < node.start + n_hi; ++i) {
-                    test_and_emit(view, i, frame.contained);
+                } else {
+                    select_window(view, node.start + n_lo, node.start + n_hi, frame.contained);
                 }
             }
             if (node.is_leaf()) {
@@ -227,6 +277,17 @@ struct QueryContext {
             shallow_stack.pop_back();
             const ShallowNode& node = file.shallow_nodes()[frame.node];
             ++stats.shallow_nodes_visited;
+            if (node.is_leaf()) {
+                BAT_CHECK_MSG(node.treelet >= 0 &&
+                                  static_cast<std::size_t>(node.treelet) < file.num_treelets(),
+                              "shallow leaf treelet index out of range");
+            } else {
+                BAT_CHECK_MSG(frame.node + 1 < file.shallow_nodes().size() &&
+                                  static_cast<std::uint32_t>(node.right_child) > frame.node &&
+                                  static_cast<std::size_t>(node.right_child) <
+                                      file.shallow_nodes().size(),
+                              "shallow node child index out of range");
+            }
             bool contained = frame.contained;
             if (!contained) {
                 if (!box_overlaps(node.bounds)) {
@@ -273,7 +334,7 @@ std::uint64_t query_bat_impl(const Source& file, const BatQuery& query,
     // still this call's emission count.
     const std::uint64_t emitted_before = st.points_emitted;
 
-    QueryContext<Source> ctx{file, query, sink, st, {}, {}, {}, {}};
+    QueryContext<Source> ctx{file, query, sink, st, {}, {}, {}, {}, {}};
     ctx.attr_scratch.resize(file.num_attrs());
     ctx.query_bitmaps.reserve(query.attr_filters.size());
     for (const AttrFilter& f : query.attr_filters) {
@@ -294,7 +355,7 @@ std::uint64_t query_bat_impl(const Source& file, const BatQuery& query,
 
 std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryCallback& cb,
                         QueryStats* stats) {
-    return query_bat_impl(file, query, QuerySink{cb, nullptr}, stats);
+    return query_bat_impl(file, query, QuerySink{cb, nullptr, nullptr}, stats);
 }
 
 std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QuerySink& sink,
@@ -304,7 +365,7 @@ std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryS
 
 std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,
                         const QueryCallback& cb, QueryStats* stats) {
-    return query_bat_impl(bat, query, QuerySink{cb, nullptr}, stats);
+    return query_bat_impl(bat, query, QuerySink{cb, nullptr, nullptr}, stats);
 }
 
 std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,

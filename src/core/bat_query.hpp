@@ -7,7 +7,11 @@
 // tests the query's 32-bit bitmap against each node's bitmap (conservative:
 // bitwise AND == 0 proves the subtree holds no matches, so subtrees are
 // never wrongly skipped), with a final exact per-point check to discard
-// false positives (§V-A).
+// false positives (§V-A). That check runs over a node's whole progressive
+// window at once: one branch-free 64-bit selection mask per 64-point block
+// (box test on the f32 positions, then each attribute range on the f64
+// columns), whose passing indices leave in ascending order — in one call
+// through QuerySink::gather, or one QuerySink::point call each.
 //
 // Progressive multiresolution reads (§V-B): the quality parameter in [0, 1]
 // is remapped on a log scale (LOD particle counts double per level) and
@@ -75,14 +79,27 @@ using QueryCallback = std::function<void(Vec3, std::span<const double>)>;
 using QueryRangeCallback =
     std::function<void(const BatTreeletView&, std::uint32_t, std::uint32_t)>;
 
-/// Emission sinks for a query. `point` is required; when `range` is set and
-/// a node's region lies entirely inside the query box with no attribute
-/// filters active, its progressive window is emitted as one contiguous
-/// range with no per-point box/filter work (so ParticleSet consumers can
-/// bulk-append).
+/// Bulk callback for a tested window: `idx` lists, in ascending order, the
+/// treelet-local indices of the window's points that passed the exact
+/// box/filter check. Positions are view.positions[3 * idx[k] + 0..2];
+/// attribute values are view.attrs[a][idx[k]]. The span is only valid for
+/// the duration of the call.
+using QueryGatherCallback =
+    std::function<void(const BatTreeletView&, std::span<const std::uint32_t>)>;
+
+/// Emission sinks for a query. `point` is required; the two bulk members
+/// are optional and let ParticleSet consumers append whole windows:
+/// - `range`: a node's region lies entirely inside the query box and no
+///   attribute filter is active, so its progressive window is emitted as
+///   one contiguous range with no per-point box/filter work;
+/// - `gather`: every other non-empty window, as the index list of the
+///   points that passed the exact check.
+/// Without them, each point goes through `point`. The emission order is
+/// the same whichever members are set.
 struct QuerySink {
     QueryCallback point;
     QueryRangeCallback range;
+    QueryGatherCallback gather;
 };
 
 /// Run a query against a BAT file; returns the number of points emitted

@@ -51,17 +51,54 @@ void ParticleSet::append(const ParticleSet& other) {
     }
 }
 
-void ParticleSet::append_block(std::span<const float> xyz,
-                               std::span<const std::span<const double>> attr_columns) {
-    BAT_CHECK_MSG(xyz.size() % 3 == 0, "append_block positions not a multiple of 3");
+void ParticleSet::append_rows(std::span<const float> xyz,
+                              std::span<const std::span<const double>> attr_columns,
+                              std::size_t begin, std::size_t end) {
     BAT_CHECK_MSG(attr_columns.size() == attrs_.size(),
-                  "attribute column count mismatch in append_block");
-    const std::size_t n = xyz.size() / 3;
-    positions_.insert(positions_.end(), xyz.begin(), xyz.end());
+                  "attribute column count mismatch in append_rows");
+    BAT_CHECK_MSG(begin <= end && 3 * end <= xyz.size(), "append_rows past the positions");
+    for (const std::span<const double> column : attr_columns) {
+        BAT_CHECK_MSG(end <= column.size(), "append_rows past an attribute column");
+    }
+    positions_.insert(positions_.end(), xyz.begin() + static_cast<std::ptrdiff_t>(3 * begin),
+                      xyz.begin() + static_cast<std::ptrdiff_t>(3 * end));
     for (std::size_t a = 0; a < attrs_.size(); ++a) {
-        BAT_CHECK_MSG(attr_columns[a].size() == n,
-                      "attribute column length mismatch in append_block");
-        attrs_[a].insert(attrs_[a].end(), attr_columns[a].begin(), attr_columns[a].end());
+        const std::span<const double> column = attr_columns[a];
+        attrs_[a].insert(attrs_[a].end(), column.begin() + static_cast<std::ptrdiff_t>(begin),
+                         column.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+}
+
+void ParticleSet::append_gather(std::span<const float> xyz,
+                                std::span<const std::span<const double>> attr_columns,
+                                std::span<const std::uint32_t> idx) {
+    BAT_CHECK_MSG(attr_columns.size() == attrs_.size(),
+                  "attribute column count mismatch in append_gather");
+    if (idx.empty()) {
+        return;
+    }
+    const std::size_t rows = *std::max_element(idx.begin(), idx.end()) + std::size_t{1};
+    BAT_CHECK_MSG(3 * rows <= xyz.size(), "append_gather index past the positions");
+    for (const std::span<const double> column : attr_columns) {
+        BAT_CHECK_MSG(rows <= column.size(), "append_gather index past an attribute column");
+    }
+    const std::size_t at = count();
+    const std::size_t n = idx.size();
+    positions_.resize(3 * (at + n));
+    float* pos = positions_.data() + 3 * at;
+    for (std::size_t k = 0; k < n; ++k) {
+        const float* p = xyz.data() + 3 * std::size_t{idx[k]};
+        pos[3 * k] = p[0];
+        pos[3 * k + 1] = p[1];
+        pos[3 * k + 2] = p[2];
+    }
+    for (std::size_t a = 0; a < attrs_.size(); ++a) {
+        attrs_[a].resize(at + n);
+        double* dst = attrs_[a].data() + at;
+        const double* src = attr_columns[a].data();
+        for (std::size_t k = 0; k < n; ++k) {
+            dst[k] = src[idx[k]];
+        }
     }
 }
 

@@ -61,13 +61,19 @@ public:
     /// Append particle `i` of `other` (same schema required).
     void append_from(const ParticleSet& other, std::size_t i);
 
-    /// Bulk-append a block of particles given as raw columns: `xyz` is
-    /// interleaved positions (3 floats per particle) and `attr_columns` one
-    /// span per attribute, all of length xyz.size() / 3. Used by the query
-    /// fast path to ingest contiguous treelet ranges without per-point
-    /// callbacks.
-    void append_block(std::span<const float> xyz,
-                      std::span<const std::span<const double>> attr_columns);
+    /// Bulk-append rows [begin, end) of raw columns (`xyz` interleaved, one
+    /// span per attribute, each covering at least `end` rows). The query
+    /// range sink ingests whole fast-path treelet windows this way, without
+    /// per-point callbacks.
+    void append_rows(std::span<const float> xyz,
+                     std::span<const std::span<const double>> attr_columns,
+                     std::size_t begin, std::size_t end);
+
+    /// Bulk-append rows idx[0], idx[1], ... of raw columns, in that order:
+    /// the query gather sink's path for a tested window's selection.
+    void append_gather(std::span<const float> xyz,
+                       std::span<const std::span<const double>> attr_columns,
+                       std::span<const std::uint32_t> idx);
 
     /// Copy every particle of `src` (same schema required) into slots
     /// [at, at + src.count()); this set must already be resized to hold

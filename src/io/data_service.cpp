@@ -89,8 +89,7 @@ ParticleSet DataService::query_round(const std::optional<BatQuery>& query) {
         const auto file = cache_->open(
             dir_ / meta_.leaves[static_cast<std::size_t>(leaf)].file, &bytes_read);
         ParticleSet out(meta_.attr_names);
-        query_bat(*file, leaf_query,
-                  [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); });
+        query_bat(*file, leaf_query, io_detail::particle_sink(out));
         return out.to_bytes();
     };
     io_detail::LeafServer server(comm_, kTagServiceRequest, kTagServiceResponse, pool_,
@@ -133,12 +132,11 @@ ParticleSet DataService::query_round(const std::optional<BatQuery>& query) {
     // result.
     io_detail::merge_responses(result, responses);
     const std::uint64_t merge_done_ns = obs::trace_now_ns();
+    const QuerySink sink = io_detail::particle_sink(result);
     for (int leaf : local_leaves) {
         const auto file = cache_->open(
             dir_ / meta_.leaves[static_cast<std::size_t>(leaf)].file, &bytes_read);
-        query_bat(*file, *query, [&result](Vec3 p, std::span<const double> attrs) {
-            result.push_back(p, attrs);
-        });
+        query_bat(*file, *query, sink);
     }
     const std::uint64_t round_end_ns = obs::trace_now_ns();
 

@@ -126,6 +126,19 @@ std::uint32_t peek_response_seq(std::span<const std::byte> bytes) {
     return r.read<std::uint32_t>();
 }
 
+QuerySink particle_sink(ParticleSet& out) {
+    QuerySink sink;
+    sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
+    sink.range = [&out](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
+        obs::query_note_fastpath_window();
+        out.append_rows(view.positions, view.attrs, begin, end);
+    };
+    sink.gather = [&out](const BatTreeletView& view, std::span<const std::uint32_t> idx) {
+        out.append_gather(view.positions, view.attrs, idx);
+    };
+    return sink;
+}
+
 void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
     if (sched::maybe_active()) {
         // The merged result buffer is rank-local by design; the annotation

@@ -59,6 +59,12 @@ ResponseView decode_response(std::span<const std::byte> bytes);
 /// The seq of a response payload without decoding the parts.
 std::uint32_t peek_response_seq(std::span<const std::byte> bytes);
 
+/// Sink appending query results to `out`, one bulk append per window:
+/// fast-path windows through ParticleSet::append_rows, tested windows
+/// through ParticleSet::append_gather. The reader and the DataService
+/// serve and query their local leaves through it.
+QuerySink particle_sink(ParticleSet& out);
+
 /// Merge response payloads into `out` in the given order with one resize
 /// and ParticleSet::deserialize_into per part — no intermediate sets.
 void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads);

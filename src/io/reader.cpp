@@ -23,25 +23,6 @@ namespace {
 constexpr int kTagReadRequest = 2;
 constexpr int kTagReadResponse = 3;
 
-/// Sink appending query results to `out`, with the contiguous-range fast
-/// path bulk-appending whole treelet windows.
-QuerySink particle_sink(ParticleSet& out) {
-    QuerySink sink;
-    sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
-    sink.range = [&out](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
-        obs::query_note_fastpath_window();
-        const std::uint32_t n = end - begin;
-        std::vector<std::span<const double>> cols;
-        cols.reserve(view.attrs.size());
-        for (const std::span<const double> a : view.attrs) {
-            cols.push_back(a.subspan(begin, n));
-        }
-        out.append_block(view.positions.subspan(3 * std::size_t{begin}, 3 * std::size_t{n}),
-                         cols);
-    };
-    return sink;
-}
-
 }  // namespace
 
 ReadPhaseTimings ReadPhaseTimings::max(const ReadPhaseTimings& a,
@@ -160,7 +141,7 @@ ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadat
         const auto file = cache.open(dir / meta.leaves[static_cast<std::size_t>(leaf)].file,
                                      &bytes_read);
         ParticleSet out(meta.attr_names);
-        query_bat(*file, query, particle_sink(out));
+        query_bat(*file, query, io_detail::particle_sink(out));
         return out.to_bytes();
     };
     io_detail::LeafServer server(comm, kTagReadRequest, kTagReadResponse, config.pool,
@@ -212,7 +193,7 @@ ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadat
 
     // ---- self-queries after exiting the server loop (§IV-B) ----------------
     obs::PhaseSpan local_span("read.local", &timings.local);
-    const QuerySink sink = particle_sink(result.particles);
+    const QuerySink sink = io_detail::particle_sink(result.particles);
     for (int leaf : local_leaves) {
         const auto file =
             cache.open(dir / meta.leaves[static_cast<std::size_t>(leaf)].file, &bytes_read);

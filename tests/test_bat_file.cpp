@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <set>
 
 #include "core/bat_file.hpp"
+#include "core/bat_query.hpp"
 #include "test_helpers.hpp"
 #include "workloads/mixtures.hpp"
 #include "workloads/uniform.hpp"
@@ -169,6 +172,59 @@ TEST(BatFileTest, TruncationRejected) {
 TEST(BatFileTest, TinyFileRejected) {
     const std::vector<std::byte> bytes(16);
     EXPECT_THROW(BatFile{std::span<const std::byte>(bytes)}, Error);
+}
+
+// Serialized BAT whose first treelet's root node is rewritten by `corrupt`
+// (in a 5,000-particle BAT that root is an inner node).
+std::vector<std::byte> corrupt_root_node(const std::function<void(TreeletNode&)>& corrupt) {
+    auto bytes = serialize_bat(make_bat(5'000, 2, 12));
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    TreeletDirEntry entry;
+    std::memcpy(&entry, bytes.data() + header.treelet_dir_offset, sizeof(entry));
+    const std::size_t root_at = entry.offset + 16;  // past the treelet block header
+    TreeletNode root;
+    std::memcpy(&root, bytes.data() + root_at, sizeof(root));
+    EXPECT_FALSE(root.is_leaf());
+    corrupt(root);
+    std::memcpy(bytes.data() + root_at, &root, sizeof(root));
+    return bytes;
+}
+
+void expect_query_rejected(const std::vector<std::byte>& bytes) {
+    const BatFile file{std::span<const std::byte>(bytes)};
+    EXPECT_THROW(query_bat(file, BatQuery{}, [](Vec3, std::span<const double>) {}), Error);
+}
+
+TEST(BatFileTest, CorruptTreeletChildRejected) {
+    // Child indices are read from the file; a query must not follow one
+    // outside the treelet's node array, nor one that points backwards.
+    expect_query_rejected(corrupt_root_node([](TreeletNode& n) { n.right_child = 1 << 30; }));
+    expect_query_rejected(corrupt_root_node([](TreeletNode& n) { n.right_child = 0; }));
+    expect_query_rejected(corrupt_root_node([](TreeletNode& n) { n.axis = 7; }));
+}
+
+TEST(BatFileTest, CorruptTreeletStartRejected) {
+    // A node's point window must lie inside its treelet's point arrays.
+    expect_query_rejected(corrupt_root_node([](TreeletNode& n) { n.start = 0xFFFFFFF0u; }));
+    expect_query_rejected(corrupt_root_node([](TreeletNode& n) { n.own_count = 1u << 31; }));
+}
+
+TEST(BatFileTest, HeaderOffsetOverflowRejected) {
+    // offset + count * sizeof(T) wraps for an offset near 2^64; the bounds
+    // check must not.
+    auto bytes = serialize_bat(make_bat(1'000, 1, 13));
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    ASSERT_GT(header.num_treelets, 0u);
+    header.treelet_dir_offset = ~std::uint64_t{0} - 7;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    try {
+        const BatFile file{std::span<const std::byte>(bytes)};
+        ADD_FAILURE() << "a directory offset past the end was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    }
 }
 
 TEST(BatFileTest, LayoutOverheadIsSmall) {

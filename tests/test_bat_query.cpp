@@ -287,13 +287,7 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
         };
         sink.range = [&via_sink](const BatTreeletView& view, std::uint32_t begin,
                                  std::uint32_t end) {
-            const std::uint32_t n = end - begin;
-            std::vector<std::span<const double>> cols;
-            for (const std::span<const double> a : view.attrs) {
-                cols.push_back(a.subspan(begin, n));
-            }
-            via_sink.append_block(
-                view.positions.subspan(3 * std::size_t{begin}, 3 * std::size_t{n}), cols);
+            via_sink.append_rows(view.positions, view.attrs, begin, end);
         };
         QueryStats stats;
         const std::uint64_t n = query_bat(file, query, sink, &stats);
@@ -306,6 +300,94 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
             EXPECT_EQ(stats.points_fast_path, n);
         }
         EXPECT_GE(stats.points_tested + stats.points_fast_path, stats.points_emitted);
+    }
+
+    // Emission order and every QueryStats field must not depend on which
+    // sinks are set: the point, point+range and point+range+gather sinks
+    // emit the same unsorted sequence, on the file and on the in-memory
+    // view. Leaves own up to 128 points and inner nodes 8 LOD points, so the
+    // tested windows are both longer and shorter than one 64-point block.
+    ParticleSet copy = fx.original;
+    const BatData bat = build_bat(std::move(copy), BatConfig{});
+    const BatDataView in_memory(bat);
+    bool long_window = false;
+    bool short_window = false;
+    for (std::size_t t = 0; t < file.num_treelets(); ++t) {
+        for (const TreeletNode& node : file.treelet(t).nodes) {
+            long_window = long_window || node.own_count > 64;
+            short_window = short_window || (node.own_count > 0 && node.own_count < 64);
+        }
+    }
+    EXPECT_TRUE(long_window);
+    EXPECT_TRUE(short_window);
+
+    const auto [lo0, hi0] = fx.original.attr_range(0);
+    const auto [lo1, hi1] = fx.original.attr_range(1);
+    const AttrFilter filter0{0, lo0 + 0.3 * (hi0 - lo0), lo0 + 0.8 * (hi0 - lo0)};
+    const AttrFilter filter1{1, lo1 + 0.1 * (hi1 - lo1), lo1 + 0.6 * (hi1 - lo1)};
+    const Box part({0.2f, 0.15f, 0.3f}, {0.7f, 0.8f, 0.65f});
+    std::vector<BatQuery> queries(6);
+    queries[0].box = part;                                      // box only
+    queries[1].attr_filters = {filter0};                        // filter only
+    queries[2].box = part;                                      // box + filters
+    queries[2].attr_filters = {filter0, filter1};
+    queries[3].box = Box({0.25f, 0.25f, 0.25f}, {0.75f, 0.75f, 0.75f});  // half-open
+    queries[3].inclusive_upper = false;
+    queries[3].attr_filters = {filter1};
+    queries[4] = queries[2];                                    // progressive window
+    queries[4].quality_lo = 0.3f;
+    queries[4].quality_hi = 0.8f;
+    queries[5].box = part;                                      // progressive, box only
+    queries[5].quality_lo = 0.25f;
+    queries[5].quality_hi = 0.6f;
+
+    const auto run = [&fx](const auto& source, const BatQuery& query, bool range,
+                           bool gather, QueryStats* stats) {
+        ParticleSet out(fx.original.attr_names());
+        QuerySink sink;
+        sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
+        if (range) {
+            sink.range = [&out](const BatTreeletView& view, std::uint32_t begin,
+                                std::uint32_t end) {
+                out.append_rows(view.positions, view.attrs, begin, end);
+            };
+        }
+        if (gather) {
+            sink.gather = [&out](const BatTreeletView& view,
+                                 std::span<const std::uint32_t> idx) {
+                out.append_gather(view.positions, view.attrs, idx);
+            };
+        }
+        const std::uint64_t n = query_bat(source, query, sink, stats);
+        EXPECT_EQ(n, out.count());
+        return testing::particle_sequence(out);
+    };
+    const auto expect_same_stats = [](const QueryStats& a, const QueryStats& b) {
+        EXPECT_EQ(a.shallow_nodes_visited, b.shallow_nodes_visited);
+        EXPECT_EQ(a.treelet_nodes_visited, b.treelet_nodes_visited);
+        EXPECT_EQ(a.pruned_by_box, b.pruned_by_box);
+        EXPECT_EQ(a.pruned_by_bitmap, b.pruned_by_bitmap);
+        EXPECT_EQ(a.points_tested, b.points_tested);
+        EXPECT_EQ(a.points_emitted, b.points_emitted);
+        EXPECT_EQ(a.points_fast_path, b.points_fast_path);
+    };
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        QueryStats point_stats;
+        const std::vector<testing::ParticleKey> point_only =
+            run(file, queries[q], false, false, &point_stats);
+        EXPECT_FALSE(point_only.empty());
+        EXPECT_GT(point_stats.points_tested, point_only.size());
+        const auto check = [&](const auto& source, bool range, bool gather) {
+            QueryStats stats;
+            EXPECT_EQ(run(source, queries[q], range, gather, &stats), point_only);
+            expect_same_stats(stats, point_stats);
+        };
+        check(file, true, false);
+        check(file, true, true);
+        check(in_memory, false, false);
+        check(in_memory, true, false);
+        check(in_memory, true, true);
     }
 }
 
@@ -327,13 +409,7 @@ TEST(BatQueryTest, FastPathRespectsProgressiveWindows) {
         };
         sink.range = [&part](const BatTreeletView& view, std::uint32_t begin,
                              std::uint32_t end) {
-            const std::uint32_t n = end - begin;
-            std::vector<std::span<const double>> cols;
-            for (const std::span<const double> a : view.attrs) {
-                cols.push_back(a.subspan(begin, n));
-            }
-            part.append_block(
-                view.positions.subspan(3 * std::size_t{begin}, 3 * std::size_t{n}), cols);
+            part.append_rows(view.positions, view.attrs, begin, end);
         };
         QueryStats stats;
         query_bat(file, query, sink, &stats);

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 
+#include "core/dataset.hpp"
 #include "io/data_service.hpp"
+#include "io/reader.hpp"
 #include "io/writer.hpp"
 #include "test_helpers.hpp"
 #include "workloads/decomposition.hpp"
@@ -80,21 +83,52 @@ TEST(DataServiceTest, AttributeFilteredRound) {
         testing::brute_force_query(w.global, Box({-9, -9, -9}, {9, 9, 9}), true, 0, qlo, hi)
             .size();
     std::atomic<std::uint64_t> total{0};
+    BatQuery query;
+    query.attr_filters.push_back({0, qlo, hi});
+    ParticleSet round;
     vmpi::Runtime::run(4, [&](vmpi::Comm& comm) {
         DataService service(comm, w.meta_path);
         if (comm.rank() == 0) {
-            BatQuery query;
-            query.attr_filters.push_back({0, qlo, hi});
             const ParticleSet got = service.query_round(query);
             for (std::size_t i = 0; i < got.count(); ++i) {
                 EXPECT_GE(got.attr(0)[i], qlo);
             }
             total.fetch_add(got.count());
+            round = got;
         } else {
             service.query_round(std::nullopt);
         }
     });
     EXPECT_EQ(total.load(), expected);
+
+    // The round emits, in order, what Dataset's per-leaf queries emit over
+    // the same leaves in the round's leaf order: the remote leaves grouped
+    // by aggregator in first-appearance order, then rank 0's own leaves.
+    Dataset ds(w.meta_path);
+    const std::vector<int> leaves = ds.metadata().query_leaves(query.box, query.attr_filters);
+    const std::vector<int> aggregator =
+        assign_read_aggregators(static_cast<int>(ds.metadata().leaves.size()), 4);
+    std::vector<int> aggregators;
+    for (int leaf : leaves) {
+        const int a = aggregator[static_cast<std::size_t>(leaf)];
+        if (std::find(aggregators.begin(), aggregators.end(), a) == aggregators.end()) {
+            aggregators.push_back(a);
+        }
+    }
+    std::stable_partition(aggregators.begin(), aggregators.end(), [](int a) { return a != 0; });
+    ParticleSet reference(w.global.attr_names());
+    for (int a : aggregators) {
+        for (int leaf : leaves) {
+            if (aggregator[static_cast<std::size_t>(leaf)] == a) {
+                query_bat(ds.leaf_file(leaf), query,
+                          [&reference](Vec3 p, std::span<const double> attrs) {
+                              reference.push_back(p, attrs);
+                          });
+            }
+        }
+    }
+    EXPECT_GT(reference.count(), 0u);
+    EXPECT_EQ(testing::particle_sequence(round), testing::particle_sequence(reference));
 }
 
 TEST(DataServiceTest, ProgressiveRoundsArePartition) {

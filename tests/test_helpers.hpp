@@ -81,7 +81,8 @@ struct ParticleKey {
     }
 };
 
-inline std::vector<ParticleKey> particle_keys(const ParticleSet& set) {
+/// One key per particle, in the set's order (for checks on emission order).
+inline std::vector<ParticleKey> particle_sequence(const ParticleSet& set) {
     std::vector<ParticleKey> keys(set.count());
     for (std::size_t i = 0; i < set.count(); ++i) {
         const Vec3 p = set.position(i);
@@ -93,6 +94,11 @@ inline std::vector<ParticleKey> particle_keys(const ParticleSet& set) {
             keys[i].attrs[a] = set.attr(a)[i];
         }
     }
+    return keys;
+}
+
+inline std::vector<ParticleKey> particle_keys(const ParticleSet& set) {
+    std::vector<ParticleKey> keys = particle_sequence(set);
     std::sort(keys.begin(), keys.end());
     return keys;
 }
