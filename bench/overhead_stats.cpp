@@ -9,7 +9,6 @@
 // alignment padding).
 
 #include "bench_common.hpp"
-#include "core/bat_compress.hpp"
 #include "core/bat_file.hpp"
 #include "test_output_free.hpp"
 #include "workloads/boiler.hpp"
@@ -39,18 +38,14 @@ void report(const char* label, ParticleSet particles) {
                       ? stats.overhead_bytes() - node_bytes - id_bytes
                       : 0;
 
-    const std::size_t compressed = compress_bat(bat).size();
     std::printf("%-28s %9.1f MB raw -> %9.1f MB file  overhead %5.2f%%  "
-                "(nodes %.2f%%, bitmap IDs %.2f%%, dict+align+hdr %.2f%%)  "
-                "quantized .batz: %.1f MB (%.1fx)\n",
+                "(nodes %.2f%%, bitmap IDs %.2f%%, dict+align+hdr %.2f%%)\n",
                 label, static_cast<double>(raw) / (1 << 20),
                 static_cast<double>(bytes.size()) / (1 << 20),
                 100.0 * stats.overhead_fraction(),
                 100.0 * static_cast<double>(node_bytes) / static_cast<double>(raw),
                 100.0 * static_cast<double>(id_bytes) / static_cast<double>(raw),
-                100.0 * static_cast<double>(align_bytes) / static_cast<double>(raw),
-                static_cast<double>(compressed) / (1 << 20),
-                static_cast<double>(bytes.size()) / static_cast<double>(compressed));
+                100.0 * static_cast<double>(align_bytes) / static_cast<double>(raw));
 }
 
 }  // namespace

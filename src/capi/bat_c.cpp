@@ -1,14 +1,11 @@
 #include "capi/bat_c.h"
 
-#include <filesystem>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "core/bat_file.hpp"
-#include "core/bat_query.hpp"
-#include "core/metadata.hpp"
+#include "core/dataset.hpp"
 #include "core/particles.hpp"
 #include "io/writer.hpp"
 #include "util/check.hpp"
@@ -26,21 +23,10 @@ struct bat_io_s {
 };
 
 struct bat_dataset_s {
-    std::filesystem::path dir;
-    Metadata meta;
-    std::map<int, std::unique_ptr<BatFile>> files;
-    std::string last_error;
+    explicit bat_dataset_s(const char* metadata_path) : dataset(metadata_path) {}
 
-    const BatFile& open(int leaf) {
-        auto it = files.find(leaf);
-        if (it == files.end()) {
-            it = files
-                     .emplace(leaf, std::make_unique<BatFile>(
-                                        dir / meta.leaves[static_cast<std::size_t>(leaf)].file))
-                     .first;
-        }
-        return *it->second;
-    }
+    Dataset dataset;
+    std::string last_error;
 };
 
 namespace {
@@ -162,11 +148,7 @@ bat_dataset* bat_dataset_open(const char* metadata_path) {
         return nullptr;
     }
     try {
-        auto ds = std::make_unique<bat_dataset_s>();
-        const std::filesystem::path path = metadata_path;
-        ds->dir = path.parent_path();
-        ds->meta = Metadata::load(path);
-        return ds.release();
+        return new bat_dataset_s(metadata_path);
     } catch (const std::exception&) {
         return nullptr;
     }
@@ -179,27 +161,26 @@ const char* bat_dataset_last_error(const bat_dataset* ds) {
 }
 
 uint64_t bat_dataset_num_particles(const bat_dataset* ds) {
-    return ds != nullptr ? ds->meta.total_particles() : 0;
+    return ds != nullptr ? ds->dataset.num_particles() : 0;
 }
 
 uint32_t bat_dataset_num_attributes(const bat_dataset* ds) {
-    return ds != nullptr ? static_cast<uint32_t>(ds->meta.num_attrs()) : 0;
+    return ds != nullptr ? static_cast<uint32_t>(ds->dataset.num_attrs()) : 0;
 }
 
 const char* bat_dataset_attribute_name(const bat_dataset* ds, uint32_t index) {
-    if (ds == nullptr || index >= ds->meta.num_attrs()) {
+    if (ds == nullptr || index >= ds->dataset.num_attrs()) {
         return nullptr;
     }
-    return ds->meta.attr_names[index].c_str();
+    return ds->dataset.attr_names()[index].c_str();
 }
 
 int bat_dataset_attribute_range(const bat_dataset* ds, uint32_t index, double* lo,
                                 double* hi) {
-    if (ds == nullptr || index >= ds->meta.num_attrs() || lo == nullptr || hi == nullptr) {
+    if (ds == nullptr || index >= ds->dataset.num_attrs() || lo == nullptr || hi == nullptr) {
         return BAT_ERR;
     }
-    *lo = ds->meta.global_ranges[index].first;
-    *hi = ds->meta.global_ranges[index].second;
+    std::tie(*lo, *hi) = ds->dataset.attr_range(index);
     return BAT_OK;
 }
 
@@ -221,17 +202,10 @@ uint64_t bat_dataset_query(bat_dataset* ds, const float lower[3], const float up
         }
         query.quality_lo = quality_lo;
         query.quality_hi = quality_hi;
-        const std::vector<int> leaves =
-            ds->meta.query_leaves(query.box, query.attr_filters);
-        uint64_t emitted = 0;
-        for (int leaf : leaves) {
-            const BatFile& file = ds->open(leaf);
-            emitted += query_bat(file, query, [&](Vec3 p, std::span<const double> attrs) {
-                const float pos[3] = {p.x, p.y, p.z};
-                cb(pos, attrs.data(), user);
-            });
-        }
-        return emitted;
+        return ds->dataset.query(query, [&](Vec3 p, std::span<const double> attrs) {
+            const float pos[3] = {p.x, p.y, p.z};
+            cb(pos, attrs.data(), user);
+        });
     } catch (const std::exception& e) {
         ds->last_error = e.what();
         return UINT64_MAX;

@@ -3,11 +3,12 @@
 // also be leveraged to enable distributed data access for in situ
 // analytics").
 //
-// A DataService wraps the client-server query machinery of the parallel
-// read pipeline into a reusable collective: every rank acts as a data
-// server for the leaf files assigned to it (read-aggregator assignment,
-// §IV-A), and any rank can pose full BAT queries — spatial box, attribute
-// filters, progressive quality windows — against the whole data set. Each
+// A DataService wraps the client–server query round of the parallel read
+// pipeline (io_detail::query_round, io/read_protocol.hpp) into a reusable
+// collective: every rank acts as a data server for the leaf files assigned
+// to it (read-aggregator assignment, §IV-A), and any rank can pose full BAT
+// queries — spatial box, attribute filters, progressive quality windows —
+// against the whole data set. Each
 // query_round() is a collective in which every rank submits one query
 // (possibly an empty one) and receives its matching particles; servers keep
 // serving until a nonblocking barrier confirms that every rank got its

@@ -1,5 +1,6 @@
 #include "io/read_protocol.hpp"
 
+#include <thread>
 #include <utility>
 
 #include "core/particles.hpp"
@@ -45,7 +46,8 @@ BatQuery read_query(BufferReader& r) {
         box.upper.z = r.read<float>();
         query.box = box;
     }
-    query.attr_filters.resize(r.read<std::uint32_t>());
+    query.attr_filters.resize(
+        r.read_count<std::uint32_t>(sizeof(std::uint32_t) + 2 * sizeof(double)));
     for (AttrFilter& f : query.attr_filters) {
         f.attr = r.read<std::uint32_t>();
         f.lo = r.read<double>();
@@ -78,7 +80,7 @@ LeafRequest decode_request(std::span<const std::byte> bytes) {
     req.ctx.trace_id = r.read<std::uint64_t>();
     req.ctx.origin_rank = r.read<std::int32_t>();
     req.ctx.seq = r.read<std::uint32_t>();
-    req.leaves.resize(r.read<std::uint32_t>());
+    req.leaves.resize(r.read_count<std::uint32_t>(sizeof(std::int32_t)));
     r.read_into(std::span<std::int32_t>(req.leaves));
     req.query = read_query(r);
     BAT_CHECK_MSG(r.remaining() == 0, "trailing bytes in leaf request");
@@ -107,13 +109,13 @@ ResponseView decode_response(std::span<const std::byte> bytes) {
     BufferReader r(bytes);
     ResponseView view;
     view.seq = r.read<std::uint32_t>();
-    const auto num_parts = r.read<std::uint32_t>();
+    const std::size_t num_parts = r.read_count<std::uint32_t>(sizeof(std::uint64_t));
     std::vector<std::uint64_t> lengths(num_parts);
     r.read_into(std::span<std::uint64_t>(lengths));
     view.parts.reserve(num_parts);
     std::size_t at = r.pos();
     for (const std::uint64_t len : lengths) {
-        BAT_CHECK_MSG(at + len <= bytes.size(), "response part past the payload");
+        BAT_CHECK_MSG(len <= bytes.size() - at, "response part past the payload");
         view.parts.push_back(bytes.subspan(at, len));
         at += len;
     }
@@ -147,6 +149,7 @@ void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
     }
     std::vector<ResponseView> views;
     views.reserve(payloads.size());
+    const std::size_t particle_bytes = 3 * sizeof(float) + out.num_attrs() * sizeof(double);
     std::uint64_t total = 0;
     for (const vmpi::Bytes& payload : payloads) {
         views.push_back(decode_response(payload));
@@ -155,8 +158,9 @@ void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
                 continue;
             }
             // Each part leads with its u64 particle count (ParticleSet wire
-            // format); summing them lets us size the result once.
-            total += BufferReader(part).read<std::uint64_t>();
+            // format); summing them lets us size the result once. A count
+            // the part's bytes cannot hold is rejected before the resize.
+            total += BufferReader(part).read_count<std::uint64_t>(particle_bytes);
         }
     }
     std::size_t at = out.count();
@@ -320,6 +324,144 @@ void LeafServer::finish() {
     if (err) {
         std::rethrow_exception(err);
     }
+}
+
+RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coalesce,
+                        const obs::QueryContext& ctx, std::uint64_t start_ns,
+                        const char* op, ReadPhaseTimings* phases) {
+    vmpi::Comm& comm = setup.comm;
+    const Metadata& meta = setup.meta;
+    RoundResult result{ParticleSet(meta.attr_names)};
+    // Each stage boundary is one timestamp, so the query record's stages
+    // tile its wall; with `phases` it also ends one phase span and opens
+    // the next (filling ReadPhaseTimings and the per-rank trace timeline).
+    std::optional<obs::PhaseSpan> phase;
+    const auto next_stage = [&](const char* name, double ReadPhaseTimings::*slot) {
+        phase.reset();
+        const std::uint64_t now = obs::trace_now_ns();
+        if (phases != nullptr) {
+            phase.emplace(name, &(phases->*slot));
+        }
+        return now;
+    };
+
+    // ---- find matching leaves; send the requests ----------------------------
+    next_stage("read.request", &ReadPhaseTimings::request);
+    std::vector<int> local_leaves;  // leaves this rank serves to itself
+    // One request per aggregator, or one per leaf when coalescing is off.
+    // Each aggregator holds a contiguous block of leaves (§IV-A), so it is
+    // one run of the ascending leaf list and requests follow leaf order.
+    std::vector<std::pair<int, std::vector<std::int32_t>>> requests;
+    std::uint32_t leaves_remote = 0;
+    if (query != nullptr) {
+        for (int leaf : meta.query_leaves(query->box, query->attr_filters)) {
+            const int aggregator = setup.leaf_aggregator[static_cast<std::size_t>(leaf)];
+            if (aggregator == comm.rank()) {
+                local_leaves.push_back(leaf);
+                continue;
+            }
+            ++leaves_remote;
+            if (!coalesce || requests.empty() || requests.back().first != aggregator) {
+                requests.emplace_back(aggregator, std::vector<std::int32_t>{});
+            }
+            requests.back().second.push_back(leaf);
+        }
+    }
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        LeafRequest req;
+        req.seq = static_cast<std::uint32_t>(i);
+        req.leaves = std::move(requests[i].second);
+        req.query = *query;
+        req.ctx = ctx;
+        comm.isend(requests[i].first, setup.request_tag, encode_request(req));
+    }
+    const std::uint64_t request_done_ns = next_stage("read.serve", &ReadPhaseTimings::serve);
+
+    // ---- client-server loop until the round barrier completes ---------------
+    std::atomic<std::uint64_t> bytes_read{0};
+    const auto open_leaf = [&](std::int32_t leaf) {
+        return setup.cache.open(setup.dir / meta.leaves[static_cast<std::size_t>(leaf)].file,
+                                &bytes_read);
+    };
+    LeafServer server(comm, setup.request_tag, setup.response_tag, setup.pool,
+                      [&](std::int32_t leaf, const BatQuery& leaf_query) {
+                          BAT_CHECK_MSG(leaf >= 0 && static_cast<std::size_t>(leaf) <
+                                                         meta.leaves.size(),
+                                        "leaf id out of range in read request");
+                          ParticleSet out(meta.attr_names);
+                          query_bat(*open_leaf(leaf), leaf_query, particle_sink(out));
+                          return out.to_bytes();
+                      });
+    // Buffered raw responses, slotted by request seq: ingestion order below
+    // is the request-issue order, independent of arrival order.
+    std::vector<vmpi::Bytes> responses(requests.size());
+    std::size_t pending = requests.size();
+    vmpi::Request barrier;  // entered once every response is in
+    if (pending == 0) {
+        barrier = comm.ibarrier();
+    }
+    for (;;) {
+        bool progressed = server.progress();
+        int src = -1;
+        if (pending > 0 && comm.iprobe(vmpi::kAnySource, setup.response_tag, &src)) {
+            progressed = true;
+            vmpi::Bytes payload = comm.recv(src, setup.response_tag);
+            const std::uint32_t seq = peek_response_seq(payload);
+            BAT_CHECK_MSG(seq < responses.size() && responses[seq].empty(),
+                          "unexpected response seq " << seq);
+            responses[seq] = std::move(payload);
+            if (--pending == 0) {
+                barrier = comm.ibarrier();
+            }
+        }
+        if (pending == 0 && server.idle() && barrier.test()) {
+            break;
+        }
+        if (!progressed && !server.help()) {
+            std::this_thread::yield();
+        }
+    }
+    server.finish();
+    const std::uint64_t serve_done_ns = next_stage("read.merge", &ReadPhaseTimings::merge);
+
+    // ---- zero-copy ingestion, then the local leaves (paper §IV-B) -----------
+    merge_responses(result.particles, responses);
+    const std::uint64_t merge_done_ns = next_stage("read.local", &ReadPhaseTimings::local);
+    const QuerySink sink = particle_sink(result.particles);
+    for (int leaf : local_leaves) {
+        query_bat(*open_leaf(leaf), *query, sink);
+    }
+    phase.reset();
+    const std::uint64_t end_ns = obs::trace_now_ns();
+
+    result.bytes_read = bytes_read.load(std::memory_order_relaxed);
+    result.request_msgs = requests.size();
+    result.requests_served = server.requests_served();
+    result.leaves_served = server.leaves_served();
+    result.bytes_shipped = server.bytes_shipped();
+
+    obs::QueryRecord qrec;
+    qrec.trace_id = ctx.trace_id;
+    qrec.origin_rank = ctx.origin_rank;
+    qrec.seq = ctx.seq;
+    qrec.op = op;
+    qrec.start_ns = start_ns;
+    qrec.wall_ns = end_ns - start_ns;
+    // Work the caller did before the round (read_particles' metadata load)
+    // is folded into the request stage; the four stages tile the wall.
+    qrec.request_ns = request_done_ns - start_ns;
+    qrec.serve_ns = serve_done_ns - request_done_ns;
+    qrec.merge_ns = merge_done_ns - serve_done_ns;
+    qrec.local_ns = end_ns - merge_done_ns;
+    qrec.leaves_local = static_cast<std::uint32_t>(local_leaves.size());
+    qrec.leaves_remote = leaves_remote;
+    qrec.request_msgs = static_cast<std::uint32_t>(requests.size());
+    for (const vmpi::Bytes& payload : responses) {
+        qrec.bytes_moved += payload.size();
+    }
+    qrec.particles = result.particles.count();
+    obs::query_finalize(qrec);
+    return result;
 }
 
 }  // namespace bat::io_detail

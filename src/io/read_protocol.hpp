@@ -1,6 +1,7 @@
 #pragma once
-// Internal wire protocol and serving engine shared by the parallel read
-// path (io/reader) and the in situ DataService (io/data_service).
+// Internal wire protocol, serving engine and query round shared by the
+// parallel read path (io/reader) and the in situ DataService
+// (io/data_service): both run their collectives through query_round().
 //
 // Coalescing: a client groups every leaf it needs from the same aggregator
 // into ONE request message carrying the leaf-id list plus the query, so the
@@ -17,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -24,6 +26,8 @@
 #include <vector>
 
 #include "core/bat_query.hpp"
+#include "io/leaf_cache.hpp"
+#include "io/reader.hpp"
 #include "obs/query_trace.hpp"
 #include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
@@ -135,5 +139,41 @@ private:
     std::mutex err_mutex_;
     std::exception_ptr first_error_;
 };
+
+/// What a query round runs against: the caller's communicator, data set,
+/// read-aggregator assignment and serving resources, and its tag pair.
+struct RoundSetup {
+    vmpi::Comm& comm;
+    const Metadata& meta;
+    const std::filesystem::path& dir;         // directory of the leaf files
+    const std::vector<int>& leaf_aggregator;  // serving rank per leaf
+    ThreadPool* pool;                         // nullptr = serve inline
+    LeafFileCache& cache;
+    int request_tag;
+    int response_tag;
+};
+
+struct RoundResult {
+    ParticleSet particles;
+    std::uint64_t bytes_read = 0;  // file bytes this rank opened (served + local)
+    std::uint64_t request_msgs = 0;
+    std::uint64_t requests_served = 0;
+    std::uint64_t leaves_served = 0;
+    std::uint64_t bytes_shipped = 0;
+};
+
+/// Collective: one client–server query round (paper §IV-B). `query` selects
+/// leaves through the metadata (nullptr = this rank asks for nothing);
+/// remote leaves are requested with one message per aggregator, or one per
+/// leaf when `!coalesce`. The rank serves the other ranks' requests until a
+/// nonblocking barrier confirms every rank has its responses, merges its
+/// responses in request order, then queries its own leaves, so results are
+/// byte-identical whatever the arrival order or pool. The round ends by
+/// writing the query record for `ctx` (op `op`, wall from `start_ns`). With
+/// `phases`, the stages open the read.request / read.serve / read.merge /
+/// read.local phase spans into it.
+RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coalesce,
+                        const obs::QueryContext& ctx, std::uint64_t start_ns,
+                        const char* op, ReadPhaseTimings* phases);
 
 }  // namespace bat::io_detail

@@ -14,15 +14,12 @@
 //       leaf ids it needs from that rank (O(aggregators) messages instead
 //       of O(leaves));
 //   (c) read aggregators run a client–server loop on nonblocking MPI-style
-//       calls: incoming requests are fanned out per leaf to a thread pool
-//       (when one is configured) while the comm loop keeps progressing
-//       probes, responses, and the round barrier; each multi-leaf response
-//       is isent as soon as its last leaf finishes. Once a rank has
-//       received all of its own responses it enters a nonblocking barrier,
-//       continuing to serve until the barrier completes. Responses are
-//       keyed by request id, so results are byte-identical regardless of
-//       thread scheduling or arrival order. Self-queries run locally after
-//       exiting the loop.
+//       calls, serving until a nonblocking barrier confirms every rank has
+//       its responses; self-queries run locally after the loop.
+//
+// (b) and (c) are io_detail::query_round (io/read_protocol.hpp), the same
+// round the in situ DataService runs; read_particles adds (a) and the
+// read.* phase timings.
 
 #include <filesystem>
 

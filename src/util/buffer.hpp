@@ -87,6 +87,17 @@ public:
         return v;
     }
 
+    /// Read an element count of type `Count` and check that that many
+    /// `elem_size`-byte elements fit in the remaining bytes, so callers can
+    /// size containers from untrusted counts (overflow-safe: no product).
+    template <typename Count>
+    std::size_t read_count(std::size_t elem_size) {
+        const auto n = read<Count>();
+        BAT_CHECK_MSG(n <= remaining() / elem_size,
+                      "count " << n << " exceeds the " << remaining() << " bytes left");
+        return static_cast<std::size_t>(n);
+    }
+
     template <typename T>
     void read_into(std::span<T> out) {
         static_assert(std::is_trivially_copyable_v<T>);

@@ -1,21 +1,25 @@
 // Tests for the parallel, batched read path: threaded leaf serving vs the
 // serial path (byte-identical), request coalescing (O(aggregators)
-// messages), protocol-validator cleanliness under concurrent serving, and
-// the shared LRU leaf-file cache. The sanitizer matrix runs this file under
-// TSan, covering the comm-thread/worker handoff in LeafServer.
+// messages), protocol-validator cleanliness under concurrent serving, the
+// shared LRU leaf-file cache, and rejection of malformed read-protocol
+// messages. The sanitizer matrix runs this file under TSan, covering the
+// comm-thread/worker handoff in LeafServer, and under ASan+UBSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 
 #include "io/data_service.hpp"
 #include "io/leaf_cache.hpp"
+#include "io/read_protocol.hpp"
 #include "io/reader.hpp"
 #include "io/writer.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "util/buffer.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
@@ -177,6 +181,32 @@ TEST(ReadParallelTest, DataServiceThreadedMatchesSerial) {
     EXPECT_GE(round1_total, w.global.count());  // round 1 partitions; round 2 adds
 }
 
+TEST(ReadParallelTest, ReadEqualsHalfOpenServiceRound) {
+    // read_particles and a DataService round run the same query round, so
+    // a half-open box read must equal a half-open box round byte for byte.
+    const Written w;
+    for (const int nranks : {1, 5, 8}) {
+        const GridDecomp decomp = grid_decomp_3d(nranks, kDomain);
+        std::atomic<std::uint64_t> total{0};
+        std::atomic<int> mismatches{0};
+        vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+            const Box box = decomp.rank_read_box(comm.rank());
+            const ReadResult read = read_particles(comm, w.meta_path, box);
+            DataService service(comm, w.meta_path);
+            BatQuery query;
+            query.box = box;
+            query.inclusive_upper = false;
+            const ParticleSet round = service.query_round(query);
+            if (read.particles.to_bytes() != round.to_bytes()) {
+                mismatches.fetch_add(1);
+            }
+            total.fetch_add(read.particles.count());
+        });
+        EXPECT_EQ(mismatches.load(), 0) << "ranks=" << nranks;
+        EXPECT_EQ(total.load(), w.global.count()) << "ranks=" << nranks;
+    }
+}
+
 TEST(ReadParallelTest, LeafCacheHitsAcrossCollectiveReads) {
     const Written w;
     auto& metrics = obs::MetricsRegistry::global();
@@ -248,6 +278,72 @@ TEST(ReadParallelTest, ReadReportsMergePhaseAndBytesRead) {
         file_bytes += std::filesystem::file_size(w.dir.path() / leaf.file);
     }
     EXPECT_EQ(bytes_read.load(), file_bytes);
+}
+
+// ---- malformed wire messages ------------------------------------------------
+// Counts and lengths come from the peer, so each decoder must reject one
+// the message cannot hold with bat::Error before allocating or slicing.
+
+/// A request header (seq, query identity) followed by `leaf_count`.
+BufferWriter request_prefix(std::uint32_t leaf_count) {
+    BufferWriter w;
+    w.write(std::uint32_t{0});  // seq
+    w.write(std::uint64_t{1});  // trace id
+    w.write(std::int32_t{0});   // origin rank
+    w.write(std::uint32_t{0});  // query seq
+    w.write(leaf_count);
+    return w;
+}
+
+TEST(ReadProtocolTest, ResponsePartLengthThatWrapsIsRejected) {
+    // 32 bytes: two parts whose lengths sum to 8 modulo 2^64, the first
+    // claiming 2^64 - 16 bytes.
+    BufferWriter w;
+    w.write(std::uint32_t{0});  // seq
+    w.write(std::uint32_t{2});  // parts
+    w.write(~std::uint64_t{0} - 15);
+    w.write(std::uint64_t{24});
+    w.write(std::uint64_t{0});
+    const vmpi::Bytes bytes = w.take();
+    ASSERT_EQ(bytes.size(), 32u);
+    EXPECT_THROW(io_detail::decode_response(bytes), Error);
+}
+
+TEST(ReadProtocolTest, RequestFilterCountPastThePayloadIsRejected) {
+    BufferWriter w = request_prefix(0);
+    w.write(std::uint8_t{0});    // no box
+    w.write(~std::uint32_t{0});  // 2^32 - 1 attribute filters
+    w.write(std::uint8_t{0});
+    const vmpi::Bytes bytes = w.take();
+    EXPECT_LE(bytes.size(), 32u);
+    EXPECT_THROW(io_detail::decode_request(bytes), Error);
+}
+
+TEST(ReadProtocolTest, RequestLeafCountPastThePayloadIsRejected) {
+    BufferWriter w = request_prefix(1u << 30);
+    w.write(std::int32_t{0});
+    const vmpi::Bytes bytes = w.take();
+    // Rejected at the count check, not after allocating 4 GiB of leaf ids
+    // and then running out of bytes.
+    try {
+        io_detail::decode_request(bytes);
+        ADD_FAILURE() << "request accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("bytes left"), std::string::npos) << e.what();
+    }
+}
+
+TEST(ReadProtocolTest, MergeRejectsPartParticleCountPastItsBytes) {
+    ParticleSet one({"a", "b"});
+    const double attrs[2] = {1.0, 2.0};
+    one.push_back({0.5f, 0.5f, 0.5f}, attrs);
+    vmpi::Bytes part = one.to_bytes();
+    const std::uint64_t claimed = std::uint64_t{1} << 40;
+    std::memcpy(part.data(), &claimed, sizeof(claimed));  // the leading count
+    const std::vector<vmpi::Bytes> payloads{io_detail::encode_response(0, {&part, 1})};
+    ParticleSet out({"a", "b"});
+    EXPECT_THROW(io_detail::merge_responses(out, payloads), Error);
+    EXPECT_EQ(out.count(), 0u);
 }
 
 }  // namespace
