@@ -201,8 +201,7 @@ struct SeriesSummary {
 /// Steady-state steps: everything but the first step and the periodic
 /// keyframes, i.e. the steps the incremental writer may write as deltas.
 bool is_steady(int s) {
-    DeltaWriteConfig defaults;
-    return s > 0 && s % defaults.keyframe_interval != 0;
+    return s > 0 && s % kKeyframeInterval != 0;
 }
 
 SeriesSummary summarize(const SeriesRun& full, const SeriesRun& delta,

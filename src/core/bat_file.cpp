@@ -273,6 +273,11 @@ void BatFile::parse(std::span<const std::byte> bytes) {
 
     BufferReader r(bytes);
     r.seek(sizeof(FileHeader));
+    // An attribute is at least a name length, a range and its bin edges.
+    constexpr std::size_t kAttrMinBytes = 4 + 16 + (kBitmapBins + 1) * sizeof(double);
+    BAT_CHECK_MSG(header_.num_attrs <= r.remaining() / kAttrMinBytes,
+                  "BAT header lists " << header_.num_attrs << " attributes, "
+                                      << r.remaining() << " bytes left");
     attr_names_.resize(header_.num_attrs);
     attr_ranges_.resize(header_.num_attrs);
     attr_edges_.resize(header_.num_attrs);
@@ -285,9 +290,9 @@ void BatFile::parse(std::span<const std::byte> bytes) {
     }
 
     if (header_.flags & kBatFlagHasBases) {
-        const auto num_bases = r.read<std::uint32_t>();
+        const auto num_bases = r.read_count<std::uint32_t>(4);  // name length
         base_names_.resize(num_bases);
-        for (std::uint32_t i = 0; i < num_bases; ++i) {
+        for (std::size_t i = 0; i < num_bases; ++i) {
             base_names_[i] = r.read_string();
         }
     }

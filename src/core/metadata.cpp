@@ -65,7 +65,7 @@ LeafReport LeafReport::from_bytes(std::span<const std::byte> bytes) {
     LeafReport report;
     report.leaf_id = r.read<std::int32_t>();
     report.num_particles = r.read<std::uint64_t>();
-    const auto nattrs = r.read<std::uint32_t>();
+    const auto nattrs = r.read_count<std::uint32_t>(20);  // range + bitmap
     const bool has_edges = r.read<std::uint8_t>() != 0;
     report.ranges.resize(nattrs);
     report.root_bitmaps.resize(nattrs);
@@ -82,9 +82,9 @@ LeafReport LeafReport::from_bytes(std::span<const std::byte> bytes) {
         }
     }
     report.file_override = r.read_string();
-    const auto nbases = r.read<std::uint32_t>();
+    const auto nbases = r.read_count<std::uint32_t>(4);  // string length
     report.delta_bases.resize(nbases);
-    for (std::uint32_t i = 0; i < nbases; ++i) {
+    for (std::size_t i = 0; i < nbases; ++i) {
         report.delta_bases[i] = r.read_string();
     }
     return report;
@@ -221,9 +221,12 @@ Metadata Metadata::from_bytes(std::span<const std::byte> bytes) {
     BAT_CHECK_MSG(r.read<std::uint32_t>() == kMetaVersion,
                   "unsupported metadata version");
     Metadata meta;
-    const auto nattrs = r.read<std::uint32_t>();
-    const auto nnodes = r.read<std::uint32_t>();
-    const auto nleaves = r.read<std::uint32_t>();
+    // Minimum encoded sizes: an attribute is a name length + range, a node
+    // a box + five 4-byte fields, a leaf a box, file name length, count and
+    // base count.
+    const auto nattrs = r.read_count<std::uint32_t>(20);
+    const auto nnodes = r.read_count<std::uint32_t>(44);
+    const auto nleaves = r.read_count<std::uint32_t>(40);
     meta.attr_names.resize(nattrs);
     meta.global_ranges.resize(nattrs);
     for (std::size_t a = 0; a < nattrs; ++a) {
@@ -252,13 +255,16 @@ Metadata Metadata::from_bytes(std::span<const std::byte> bytes) {
             leaf.local_ranges[a].second = r.read<double>();
             leaf.bitmaps[a] = r.read<std::uint32_t>();
         }
-        const auto nbases = r.read<std::uint32_t>();
+        const auto nbases = r.read_count<std::uint32_t>(4);
         leaf.delta_bases.resize(nbases);
-        for (std::uint32_t i = 0; i < nbases; ++i) {
+        for (std::size_t i = 0; i < nbases; ++i) {
             leaf.delta_bases[i] = r.read_string();
         }
     }
-    meta.node_bitmaps.resize(static_cast<std::size_t>(nnodes) * nattrs);
+    BAT_CHECK_MSG(static_cast<std::uint64_t>(nnodes) * nattrs <=
+                      r.remaining() / sizeof(std::uint32_t),
+                  "node bitmaps exceed the " << r.remaining() << " bytes left");
+    meta.node_bitmaps.resize(nnodes * nattrs);
     r.read_into(std::span<std::uint32_t>(meta.node_bitmaps));
     return meta;
 }

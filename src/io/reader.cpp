@@ -81,7 +81,7 @@ ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadat
     // ---- (b) + (c) the query round, timed into the read phases -------------
     BatQuery query;
     query.box = my_bounds;
-    query.inclusive_upper = !config.half_open;
+    query.inclusive_upper = false;
     const std::filesystem::path dir = metadata_path.parent_path();
     LeafFileCache& cache = config.cache != nullptr ? *config.cache : LeafFileCache::global();
     const io_detail::RoundSetup setup{comm, meta, dir, leaf_aggregator, config.pool,

@@ -33,9 +33,6 @@ class LeafFileCache;
 class ThreadPool;
 
 struct ReaderConfig {
-    /// Half-open containment ([lo, hi) per axis) makes non-overlapping
-    /// restart decompositions partition the particles exactly once.
-    bool half_open = true;
     /// Pool that leaf queries are fanned out to while serving (and that the
     /// local self-queries bulk-append through). nullptr = serve serially on
     /// the comm thread; results are byte-identical either way.
@@ -68,7 +65,9 @@ struct ReadResult {
     std::uint64_t bytes_read = 0;  // file bytes this rank read as aggregator
 };
 
-/// Collective: every rank reads the particles overlapping `my_bounds`.
+/// Collective: every rank reads the particles inside `my_bounds`, taken
+/// half-open ([lo, hi) per axis) so that non-overlapping restart
+/// decompositions partition the particles exactly once.
 ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadata_path,
                           const Box& my_bounds, const ReaderConfig& config = {});
 

@@ -1,7 +1,5 @@
 #include "io/series.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/buffer.hpp"
 #include "util/check.hpp"
@@ -32,9 +30,9 @@ TimeSeries TimeSeries::from_bytes(std::span<const std::byte> bytes) {
     BAT_CHECK_MSG(r.read<std::uint32_t>() == kSeriesVersion,
                   "unsupported series manifest version");
     TimeSeries series;
-    const auto count = r.read<std::uint32_t>();
+    const auto count = r.read_count<std::uint32_t>(8);  // timestep + name length
     series.timesteps.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         const auto timestep = r.read<std::int32_t>();
         series.timesteps.emplace_back(timestep, r.read_string());
     }
@@ -69,15 +67,7 @@ WriteResult SeriesWriter::write_timestep(vmpi::Comm& comm, int timestep,
                   "timesteps must be written in increasing order");
     WriterConfig config = base_;
     config.basename = base_.basename + "_t" + std::to_string(timestep);
-    // Periodic keyframes bound how far back delta chains can reach: every
-    // keyframe_interval-th step writes full files (the first step is a
-    // keyframe by construction — the plan starts empty).
-    const int interval = std::max(1, base_.delta.keyframe_interval);
-    if (steps_written_ % static_cast<std::size_t>(interval) == 0) {
-        config.delta.force_keyframe = true;
-    }
     const WriteResult result = write_particles(comm, local, local_bounds, config, &plan_);
-    ++steps_written_;
     series_.timesteps.emplace_back(timestep, result.metadata_path.filename().string());
     return result;
 }

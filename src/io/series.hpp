@@ -29,12 +29,12 @@ struct TimeSeries {
     std::size_t index_of(int timestep) const;
 };
 
-/// Collective writer for a simulation's dump loop. Writes are incremental
-/// by default (base.delta): the writer carries a WritePlan across steps so
-/// slowly-evolving series reuse the aggregation tree and write unchanged
-/// treelets as references into prior steps' files, with every
-/// base.delta.keyframe_interval-th step forced to a full (all-inline)
-/// write to bound delta chains.
+/// Collective writer for a simulation's dump loop. Writes are incremental:
+/// the writer carries a WritePlan across steps so slowly-evolving series
+/// reuse the aggregation tree (while no rank drifts past kMaxRankDrift) and
+/// write unchanged treelets as references into prior steps' files, with
+/// every kKeyframeInterval-th step a full (all-inline) write to bound delta
+/// chains.
 class SeriesWriter {
 public:
     /// `base.basename` becomes the series name; per-timestep outputs are
@@ -61,7 +61,6 @@ private:
     TimeSeries series_;
     std::filesystem::path manifest_path_;
     WritePlan plan_;
-    std::size_t steps_written_ = 0;
     mutable std::uint64_t manifest_bytes_ = 0;
 };
 

@@ -50,12 +50,6 @@ std::uint64_t inline_treelet_bytes(const Treelet& tr, std::size_t nattrs) {
     return (sz + align - 1) & ~(align - 1);
 }
 
-}  // namespace
-
-// Transfer-plumbing types live in io_detail (not the anonymous namespace)
-// because WritePlanState holds an Assignment across steps.
-namespace io_detail {
-
 /// Per-leaf aggregation duty sent to an aggregator rank.
 struct LeafDuty {
     int leaf_id = -1;
@@ -63,11 +57,13 @@ struct LeafDuty {
     std::uint64_t total_particles = 0;
 };
 
-/// Assignment message scattered from rank 0 to each rank.
+/// Assignment message scattered from rank 0 to each rank. The counts are
+/// always this step's, also when rank 0 reused the plan's aggregation.
 struct Assignment {
     int my_leaf = -1;          // leaf this rank's data belongs to (-1: none)
     int my_aggregator = -1;    // destination rank for this rank's data
     int num_leaves = 0;
+    std::uint8_t reused = 0;   // 1: rank 0 kept the plan's aggregation
     std::vector<LeafDuty> duties;  // leaves this rank aggregates
 
     std::vector<std::byte> to_bytes() const {
@@ -75,6 +71,7 @@ struct Assignment {
         w.write(std::int32_t{my_leaf});
         w.write(std::int32_t{my_aggregator});
         w.write(std::int32_t{num_leaves});
+        w.write(reused);
         w.write(static_cast<std::uint32_t>(duties.size()));
         for (const LeafDuty& duty : duties) {
             w.write(std::int32_t{duty.leaf_id});
@@ -94,11 +91,14 @@ struct Assignment {
         a.my_leaf = r.read<std::int32_t>();
         a.my_aggregator = r.read<std::int32_t>();
         a.num_leaves = r.read<std::int32_t>();
-        a.duties.resize(r.read<std::uint32_t>());
+        a.reused = r.read<std::uint8_t>();
+        // A duty is at least leaf id + total + sender count; a sender is a
+        // rank + count.
+        a.duties.resize(r.read_count<std::uint32_t>(16));
         for (LeafDuty& duty : a.duties) {
             duty.leaf_id = r.read<std::int32_t>();
             duty.total_particles = r.read<std::uint64_t>();
-            duty.senders.resize(r.read<std::uint32_t>());
+            duty.senders.resize(r.read_count<std::uint32_t>(12));
             for (auto& [rank, count] : duty.senders) {
                 rank = r.read<std::int32_t>();
                 count = r.read<std::uint64_t>();
@@ -107,6 +107,10 @@ struct Assignment {
         return a;
     }
 };
+
+}  // namespace
+
+namespace io_detail {
 
 /// Carry-over of one leaf between steps: treelet content hashes plus the
 /// physical location (file name + treelet index) of every treelet's bytes.
@@ -131,28 +135,19 @@ struct LeafDeltaState {
 
 /// Everything write_particles carries from one step to the next.
 struct WritePlanState {
-    bool valid = false;
-    int nranks = 0;
+    std::size_t steps = 0;  // steps written through this plan
     AggStrategy strategy = AggStrategy::adaptive;
-    RankInfo my_info;        // this rank's previous bounds + count
-    Assignment assignment;   // this rank's previous assignment
-    Aggregation agg;         // rank 0 only
+    std::vector<RankInfo> infos;  // rank 0: the previous step's gathered infos
+    Aggregation agg;              // rank 0: the plan's aggregation
     std::map<int, LeafDeltaState> leaves;  // keyed by leaf id (my duties)
 };
 
 }  // namespace io_detail
 
-using io_detail::Assignment;
-using io_detail::LeafDuty;
-
 WritePlan::WritePlan() : state_(std::make_unique<io_detail::WritePlanState>()) {}
 WritePlan::~WritePlan() = default;
 WritePlan::WritePlan(WritePlan&&) noexcept = default;
 WritePlan& WritePlan::operator=(WritePlan&&) noexcept = default;
-
-bool WritePlan::valid() const { return state_->valid; }
-
-void WritePlan::reset() { *state_ = io_detail::WritePlanState{}; }
 
 const char* to_string(AggStrategy s) {
     switch (s) {
@@ -253,12 +248,41 @@ void save_metadata(const Aggregation& agg, const std::vector<std::string>& attr_
     result.bytes_written += std::filesystem::file_size(result.metadata_path);
 }
 
+/// Rank 0: whether the plan's aggregation still fits this step's gathered
+/// infos — the same strategy and rank count, and every rank with the same
+/// bounds, the same empty/non-empty status and a count drift of at most
+/// kMaxRankDrift against the previous step.
+bool plan_fits(const io_detail::WritePlanState& state, std::span<const RankInfo> infos,
+               AggStrategy strategy) {
+    if (state.strategy != strategy || state.infos.size() != infos.size()) {
+        return false;
+    }
+    for (std::size_t r = 0; r < infos.size(); ++r) {
+        const RankInfo& prev = state.infos[r];
+        const std::uint64_t pn = prev.num_particles;
+        const std::uint64_t n = infos[r].num_particles;
+        const double drift = pn > 0 ? std::abs(static_cast<double>(n) -
+                                               static_cast<double>(pn)) /
+                                          static_cast<double>(pn)
+                                    : 0.0;
+        if (!(prev.bounds == infos[r].bounds) || (pn > 0) != (n > 0) ||
+            drift > kMaxRankDrift) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// Each duty's senders and totals come from this step's `infos`, never
+/// from AggLeaf::num_particles, which is stale under a reused plan.
 std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
-                                          std::span<const RankInfo> infos, int nranks) {
+                                          std::span<const RankInfo> infos, int nranks,
+                                          bool reused) {
     std::vector<Assignment> assignments(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
         Assignment& a = assignments[static_cast<std::size_t>(r)];
         a.num_leaves = static_cast<int>(agg.leaves.size());
+        a.reused = reused ? 1 : 0;
         a.my_leaf = agg.rank_to_leaf[static_cast<std::size_t>(r)];
         a.my_aggregator =
             a.my_leaf >= 0 ? agg.leaves[static_cast<std::size_t>(a.my_leaf)].aggregator : -1;
@@ -267,13 +291,13 @@ std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
         const AggLeaf& leaf = agg.leaves[leaf_id];
         LeafDuty duty;
         duty.leaf_id = static_cast<int>(leaf_id);
-        duty.total_particles = leaf.num_particles;
         duty.senders.reserve(leaf.ranks.size());
         for (int r : leaf.ranks) {
             // Ranks without particles skip the transfer (paper §III-B).
             const std::uint64_t count = infos[static_cast<std::size_t>(r)].num_particles;
             if (count > 0) {
                 duty.senders.emplace_back(r, count);
+                duty.total_particles += count;
             }
         }
         assignments[static_cast<std::size_t>(leaf.aggregator)].duties.push_back(
@@ -309,80 +333,52 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     // WritePhaseTimings field — the only bookkeeping path for Fig 6/10/12.
 
     // ---- (a) gather counts + bounds; build the aggregation on rank 0 ------
-    // With a valid plan, each rank first checks its own drift against the
-    // previous step; a cheap all-ranks AND then decides collectively
-    // whether the cached tree + assignment can be reused. The plan must be
-    // passed on every rank or on none — validity transitions collectively.
-    RankInfo my_info{local_bounds, local.count()};
+    // With a plan, rank 0 keeps the plan's aggregation when this step's
+    // infos fit it (plan_fits) and rebuilds it otherwise; the decision
+    // reaches every rank in its assignment. The plan must be passed on
+    // every rank or on none.
     std::vector<RankInfo> infos;
-    bool reuse = false;
     {
         obs::PhaseSpan span("write.gather", &timings.gather);
-        if (state != nullptr && state->valid) {
-            const RankInfo& prev = state->my_info;
-            const std::uint64_t pn = prev.num_particles;
-            const std::uint64_t n = local.count();
-            const double drift =
-                pn > 0 ? std::abs(static_cast<double>(n) - static_cast<double>(pn)) /
-                             static_cast<double>(pn)
-                       : 0.0;
-            const bool local_ok = state->nranks == nranks &&
-                                  state->strategy == config.strategy &&
-                                  prev.bounds == local_bounds && (pn > 0) == (n > 0) &&
-                                  drift <= config.delta.max_rank_drift;
-            reuse = comm.allreduce(local_ok ? 1 : 0,
-                                   [](int a, int b) { return a & b; }) != 0;
-        }
-        if (!reuse) {
-            infos = comm.gather(my_info, 0);
-        }
+        infos = comm.gather(RankInfo{local_bounds, local.count()}, 0);
     }
 
-    Aggregation agg_local;  // rank 0, planless path only
-    Assignment assignment;
-    if (reuse) {
-        assignment = state->assignment;
-        result.reused_plan = true;
+    Aggregation agg_local;  // rank 0 without a plan
+    Aggregation& agg = state != nullptr ? state->agg : agg_local;
+    std::vector<vmpi::Bytes> assignment_blobs;
+    {
+        obs::PhaseSpan span("write.tree_build", &timings.tree_build);
         if (comm.rank() == 0) {
-            metrics.counter("write.plan_reused").add(1);
-        }
-    } else {
-        std::vector<vmpi::Bytes> assignment_blobs;
-        {
-            obs::PhaseSpan span("write.tree_build", &timings.tree_build);
-            if (comm.rank() == 0) {
+            const bool reuse = state != nullptr && plan_fits(*state, infos, config.strategy);
+            if (reuse) {
+                metrics.counter("write.plan_reused").add(1);
+            } else {
                 AggTreeConfig tree_config = config.tree;
                 tree_config.bytes_per_particle = local.bytes_per_particle();
-                agg_local =
-                    build_aggregation(infos, config.strategy, tree_config, config.pool);
-                assign_strategy_aggregators(agg_local, config.strategy, nranks);
-                assignment_blobs = make_assignments(agg_local, infos, nranks);
+                agg = build_aggregation(infos, config.strategy, tree_config, config.pool);
+                assign_strategy_aggregators(agg, config.strategy, nranks);
+            }
+            assignment_blobs = make_assignments(agg, infos, nranks, reuse);
+            if (state != nullptr) {
+                state->strategy = config.strategy;
+                state->infos = std::move(infos);
             }
         }
+    }
 
-        // ---- (b) scatter assignments --------------------------------------
-        {
-            obs::PhaseSpan span("write.scatter", &timings.scatter);
-            assignment =
-                Assignment::from_bytes(comm.scatterv(std::move(assignment_blobs), 0));
-        }
-        if (state != nullptr) {
-            // Replan: the leaf decomposition may have shifted, so the old
-            // per-leaf hashes describe regions that no longer line up —
-            // drop them and let this step repopulate from its full writes.
-            state->leaves.clear();
-            state->agg = std::move(agg_local);
-            state->assignment = assignment;
-            state->nranks = nranks;
-            state->strategy = config.strategy;
-            state->valid = true;
-        }
+    // ---- (b) scatter assignments ------------------------------------------
+    Assignment assignment;
+    {
+        obs::PhaseSpan span("write.scatter", &timings.scatter);
+        assignment = Assignment::from_bytes(comm.scatterv(std::move(assignment_blobs), 0));
     }
-    if (state != nullptr) {
-        state->my_info = my_info;
+    result.reused_plan = assignment.reused != 0;
+    if (state != nullptr && !result.reused_plan) {
+        // Replan: the leaf decomposition may have shifted, so the old
+        // per-leaf hashes describe regions that no longer line up — drop
+        // them and let this step repopulate from its full writes.
+        state->leaves.clear();
     }
-    // Rank 0's aggregation lives in the plan when one is carried.
-    const Aggregation& agg = state != nullptr ? state->agg : agg_local;
     result.num_leaves = assignment.num_leaves;
     result.my_leaf = assignment.my_leaf;
 
@@ -410,92 +406,45 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                 comm.isend(assignment.my_aggregator, kTagData, std::move(payload));
             }
         }
-        if (!reuse) {
-            struct SenderSlot {
-                std::size_t duty;    // index into leaf_particles
-                std::size_t offset;  // particle slot within the merged set
-                std::uint64_t count;
-            };
-            std::map<int, SenderSlot> slots;
-            leaf_particles.reserve(assignment.duties.size());
-            for (std::size_t d = 0; d < assignment.duties.size(); ++d) {
-                const LeafDuty& duty = assignment.duties[d];
-                ParticleSet merged(local.attr_names());
-                merged.resize(duty.total_particles);
-                std::size_t offset = 0;
-                for (const auto& [sender, count] : duty.senders) {
-                    if (send_self && sender == comm.rank()) {
-                        merged.copy_from(local, offset);
-                        metrics.counter("write.transfer_bytes").add(local.payload_bytes());
-                    } else {
-                        const bool inserted =
-                            slots.emplace(sender, SenderSlot{d, offset, count}).second;
-                        BAT_CHECK_MSG(inserted, "rank " << sender << " feeds two leaves");
-                    }
-                    offset += count;
+        struct SenderSlot {
+            std::size_t duty;    // index into leaf_particles
+            std::size_t offset;  // particle slot within the merged set
+            std::uint64_t count;
+        };
+        std::map<int, SenderSlot> slots;
+        leaf_particles.reserve(assignment.duties.size());
+        for (std::size_t d = 0; d < assignment.duties.size(); ++d) {
+            const LeafDuty& duty = assignment.duties[d];
+            ParticleSet merged(local.attr_names());
+            merged.resize(duty.total_particles);
+            std::size_t offset = 0;
+            for (const auto& [sender, count] : duty.senders) {
+                if (send_self && sender == comm.rank()) {
+                    merged.copy_from(local, offset);
+                    metrics.counter("write.transfer_bytes").add(local.payload_bytes());
+                } else {
+                    const bool inserted =
+                        slots.emplace(sender, SenderSlot{d, offset, count}).second;
+                    BAT_CHECK_MSG(inserted, "rank " << sender << " feeds two leaves");
                 }
-                BAT_CHECK(offset == duty.total_particles);
-                leaf_particles.emplace_back(duty.leaf_id, std::move(merged));
+                offset += count;
             }
-            const std::size_t expected = slots.size();
-            for (std::size_t m = 0; m < expected; ++m) {
-                int from = -1;
-                const vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
-                const auto it = slots.find(from);
-                BAT_CHECK_MSG(it != slots.end(),
-                              "unexpected transfer payload from rank " << from);
-                const SenderSlot slot = it->second;
-                slots.erase(it);
-                metrics.counter("write.transfer_bytes").add(payload.size());
-                const std::size_t got =
-                    leaf_particles[slot.duty].second.deserialize_into(payload, slot.offset);
-                BAT_CHECK_MSG(got == slot.count, "sender " << from << " sent " << got
-                                                           << " particles, " << slot.count
-                                                           << " expected");
-            }
-        } else {
-            // Reused assignment: the cached per-sender counts are stale
-            // (ranks may have drifted under the threshold), so the merged
-            // sets cannot be pre-sized with fixed slots. Instead receive
-            // every expected payload first, then append per duty in the
-            // fixed ascending-sender order — which is exactly the order the
-            // fixed-slot path lays senders out in, so the merged sets (and
-            // therefore the output bytes) match a full-pipeline write of
-            // the same data bit for bit. The sender *sets* are still exact:
-            // any empty/non-empty flip forces a replan.
-            std::size_t expected = 0;
-            for (const LeafDuty& duty : assignment.duties) {
-                for (const auto& [sender, count] : duty.senders) {
-                    if (sender != comm.rank()) {
-                        ++expected;
-                    }
-                }
-            }
-            std::map<int, vmpi::Bytes> payloads;
-            for (std::size_t m = 0; m < expected; ++m) {
-                int from = -1;
-                vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
-                metrics.counter("write.transfer_bytes").add(payload.size());
-                const bool inserted = payloads.emplace(from, std::move(payload)).second;
-                BAT_CHECK_MSG(inserted, "rank " << from << " feeds two leaves");
-            }
-            leaf_particles.reserve(assignment.duties.size());
-            for (const LeafDuty& duty : assignment.duties) {
-                ParticleSet merged(local.attr_names());
-                for (const auto& [sender, count] : duty.senders) {
-                    (void)count;  // stale; payloads carry the real counts
-                    if (sender == comm.rank()) {
-                        merged.append(local);
-                        metrics.counter("write.transfer_bytes").add(local.payload_bytes());
-                    } else {
-                        const auto it = payloads.find(sender);
-                        BAT_CHECK_MSG(it != payloads.end(),
-                                      "no transfer payload from rank " << sender);
-                        merged.append_from_bytes(it->second);
-                    }
-                }
-                leaf_particles.emplace_back(duty.leaf_id, std::move(merged));
-            }
+            BAT_CHECK(offset == duty.total_particles);
+            leaf_particles.emplace_back(duty.leaf_id, std::move(merged));
+        }
+        const std::size_t expected = slots.size();
+        for (std::size_t m = 0; m < expected; ++m) {
+            int from = -1;
+            const vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
+            const auto it = slots.find(from);
+            BAT_CHECK_MSG(it != slots.end(), "unexpected transfer payload from rank " << from);
+            const SenderSlot slot = it->second;
+            slots.erase(it);
+            metrics.counter("write.transfer_bytes").add(payload.size());
+            const std::size_t got =
+                leaf_particles[slot.duty].second.deserialize_into(payload, slot.offset);
+            BAT_CHECK_MSG(got == slot.count, "sender " << from << " sent " << got << " particles, "
+                                                        << slot.count << " expected");
         }
     }
 
@@ -506,8 +455,8 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     // treelets are ALL clean (and whose attr table + shallow tree match)
     // skips its file entirely — the metadata points at the prior file.
     BatConfig bat_config = config.bat;
-    const bool delta_enabled = state != nullptr && config.delta.enabled;
-    bat_config.hash_treelets = delta_enabled;
+    bat_config.hash_treelets = state != nullptr;
+    const bool keyframe = state != nullptr && state->steps++ % static_cast<std::size_t>(kKeyframeInterval) == 0;
 
     std::vector<LeafReport> my_reports;
     std::filesystem::create_directories(config.directory);
@@ -522,7 +471,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
 
         obs::PhaseSpan span("write.file_write", &timings.file_write);
         const std::string own_file = leaf_file_name(config.basename, leaf_id);
-        if (!delta_enabled) {
+        if (state == nullptr) {
             const std::vector<std::byte> bytes = serialize_bat(bat);
             write_file(config.directory / own_file, bytes);
             result.bytes_written += bytes.size();
@@ -532,8 +481,8 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
 
         io_detail::LeafDeltaState& st = state->leaves[leaf_id];
         const std::size_t num_treelets = bat.treelets.size();
-        const bool can_delta = !config.delta.force_keyframe && !st.last_file.empty() &&
-                               st.hashes.size() == num_treelets;
+        const bool can_delta =
+            !keyframe && !st.last_file.empty() && st.hashes.size() == num_treelets;
         BatDeltaSpec spec;
         spec.refs.resize(num_treelets);
         std::map<std::string, std::int32_t> base_ids;
@@ -634,7 +583,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
             BufferReader r(blob);
             const auto count = r.read<std::uint32_t>();
             for (std::uint32_t i = 0; i < count; ++i) {
-                const auto len = r.read<std::uint32_t>();
+                const auto len = r.read_count<std::uint32_t>(1);
                 std::vector<std::byte> piece(len);
                 r.read_into(std::span<std::byte>(piece));
                 reports.push_back(LeafReport::from_bytes(piece));

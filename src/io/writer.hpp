@@ -34,26 +34,17 @@ enum class AggStrategy {
 
 const char* to_string(AggStrategy s);
 
-/// Knobs for incremental (delta) series writes. Only consulted when a
-/// WritePlan is passed to write_particles; one-shot writes are unaffected.
-struct DeltaWriteConfig {
-    /// Master switch: when false the plan still caches the aggregation
-    /// tree (phase reuse) but every BAT is written in full.
-    bool enabled = true;
-    /// Maximum per-rank particle-count drift, as a fraction of the rank's
-    /// previous count, under which the cached aggregation tree and
-    /// aggregator assignment are reused (skipping gather→tree_build→
-    /// scatter). Any rank whose bounds changed, whose empty/non-empty
-    /// status flipped, or whose count drifted more forces a full replan.
-    double max_rank_drift = 0.3;
-    /// Every keyframe_interval-th step a series writes full (all-inline)
-    /// BAT files, bounding how far back a delta chain can reach. Enforced
-    /// by SeriesWriter via force_keyframe.
-    int keyframe_interval = 8;
-    /// When set, this step writes full files regardless of hash matches
-    /// (delta detection still runs so the next step has fresh hashes).
-    bool force_keyframe = false;
-};
+/// Incremental (delta) series writes, used only when a WritePlan is passed
+/// to write_particles; one-shot writes are unaffected.
+/// Rank 0 reuses the plan's aggregation tree and aggregator assignment when
+/// no rank's particle count drifted by more than this fraction of its
+/// previous count. Any rank whose bounds changed, whose empty/non-empty
+/// status flipped, or whose count drifted more forces a full replan.
+inline constexpr double kMaxRankDrift = 0.3;
+/// Every kKeyframeInterval-th step of a plan (the first included) writes
+/// full (all-inline) BAT files, bounding how far back a delta chain can
+/// reach. Delta detection still runs so the next step has fresh hashes.
+inline constexpr int kKeyframeInterval = 8;
 
 struct WriterConfig {
     AggStrategy strategy = AggStrategy::adaptive;
@@ -63,7 +54,6 @@ struct WriterConfig {
     std::filesystem::path directory;
     std::string basename = "particles";
     ThreadPool* pool = nullptr;  // parallelizes tree + BAT builds
-    DeltaWriteConfig delta;  // incremental-series behavior (needs a WritePlan)
 };
 
 /// Per-rank wall-clock seconds spent in each pipeline component (the
@@ -95,7 +85,7 @@ struct WriteResult {
     int num_leaves = 0;                  // total output files
     int my_leaf = -1;                    // leaf this rank's data went to
     // Incremental-write effectiveness for this step (zero without a plan):
-    bool reused_plan = false;            // gather→tree→scatter skipped
+    bool reused_plan = false;            // rank 0 kept the plan's aggregation
     std::uint64_t delta_treelets_clean = 0;    // this rank, written by reference
     std::uint64_t delta_treelets_written = 0;  // this rank, written inline
     std::uint64_t delta_bytes_saved = 0;       // this rank, estimated
@@ -115,30 +105,27 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
 
 /// Collective, incremental: like write_particles, but carries state from
 /// the previous step in `plan` (owned by the caller, one per rank, reused
-/// across steps). When the per-rank drift stays under
-/// DeltaWriteConfig::max_rank_drift the cached aggregation tree and
-/// aggregator assignment are reused, and unchanged treelets are written as
+/// across steps; pass it on every rank or on none). Rank 0 still gathers
+/// every rank's count and bounds; when they fit the plan (kMaxRankDrift) it
+/// keeps the cached aggregation tree and aggregator assignment instead of
+/// rebuilding them, and scatters assignments carrying this step's counts.
+/// Outside keyframes (kKeyframeInterval), unchanged treelets are written as
 /// references into the prior step's files (see bat_file.hpp). A null plan
 /// degrades to the one-shot path.
 WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                             const Box& local_bounds, const WriterConfig& config,
                             WritePlan* plan);
 
-/// Per-rank carry-over state of an incremental write series: the previous
-/// step's rank info, aggregator assignment, and per-leaf treelet content
-/// hashes + physical treelet locations. Opaque; create one per rank and
-/// pass it to every step's write_particles.
+/// Per-rank carry-over state of an incremental write series: the step
+/// count, rank 0's previous rank infos and aggregation, and per-leaf
+/// treelet content hashes + physical treelet locations. Opaque; create one
+/// per rank and pass it to every step's write_particles.
 class WritePlan {
 public:
     WritePlan();
     ~WritePlan();
     WritePlan(WritePlan&&) noexcept;
     WritePlan& operator=(WritePlan&&) noexcept;
-
-    /// True once a step has populated the plan (the next step may reuse it).
-    bool valid() const;
-    /// Drop all cached state; the next write runs the full pipeline.
-    void reset();
 
 private:
     friend WriteResult write_particles(vmpi::Comm&, const ParticleSet&, const Box&,

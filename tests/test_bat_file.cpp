@@ -227,6 +227,17 @@ TEST(BatFileTest, HeaderOffsetOverflowRejected) {
     }
 }
 
+TEST(BatFileTest, HugeAttrCountRejectedBeforeAllocating) {
+    // A header attribute count the attribute table cannot hold must raise
+    // bat::Error before it sizes the table.
+    auto bytes = serialize_bat(make_bat(1'000, 1, 14));
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    header.num_attrs = 0xFFFFFFFFu;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    EXPECT_THROW(BatFile{std::span<const std::byte>(bytes)}, Error);
+}
+
 TEST(BatFileTest, LayoutOverheadIsSmall) {
     // Paper §VI-B: the layout requires ~0.9% additional memory. With 4 KB
     // alignment padding the overhead depends on treelet sizes; for realistic

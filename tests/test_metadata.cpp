@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/bat_builder.hpp"
 #include "core/metadata.hpp"
 #include "test_helpers.hpp"
@@ -174,6 +176,25 @@ TEST(MetadataTest, LoadRejectsGarbage) {
     EXPECT_THROW(Metadata::load(path), Error);
 }
 
+/// `bytes` with the u32 at `offset` overwritten by `value`.
+std::vector<std::byte> patch_u32(std::vector<std::byte> bytes, std::size_t offset,
+                                 std::uint32_t value) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+}
+
+TEST(MetadataTest, HugeHeaderCountsRejectedBeforeAllocating) {
+    // Header: magic, version, then the attribute, node and leaf counts. A
+    // count the remaining bytes cannot hold must raise bat::Error, not
+    // size a container (std::bad_alloc, or gigabytes touched).
+    const Aggregation agg = two_leaf_aggregation();
+    const auto bytes =
+        build_metadata(agg, {"a"}, reports_for(agg, 1), files_for(agg)).to_bytes();
+    EXPECT_THROW(Metadata::from_bytes(patch_u32(bytes, 8, 0xFFFFFFFFu)), Error);
+    EXPECT_THROW(Metadata::from_bytes(patch_u32(bytes, 12, 1u << 26)), Error);
+    EXPECT_THROW(Metadata::from_bytes(patch_u32(bytes, 16, 1u << 30)), Error);
+}
+
 TEST(MetadataTest, QueryLeavesBySpace) {
     const Aggregation agg = two_leaf_aggregation();
     const auto reports = reports_for(agg, 1);
@@ -224,6 +245,16 @@ TEST(LeafReportTest, SerializationRoundTrip) {
     EXPECT_EQ(back.num_particles, 123456u);
     EXPECT_EQ(back.ranges, r.ranges);
     EXPECT_EQ(back.root_bitmaps, r.root_bitmaps);
+}
+
+TEST(LeafReportTest, HugeAttrCountRejectedBeforeAllocating) {
+    LeafReport r;
+    r.leaf_id = 1;
+    r.num_particles = 10;
+    r.ranges = {{0.0, 1.0}};
+    r.root_bitmaps = {0x1};
+    // The attribute count follows the leaf id (i32) and particle count (u64).
+    EXPECT_THROW(LeafReport::from_bytes(patch_u32(r.to_bytes(), 12, 0xFFFFFFFFu)), Error);
 }
 
 }  // namespace

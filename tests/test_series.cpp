@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "io/series.hpp"
 #include "test_helpers.hpp"
 #include "workloads/decomposition.hpp"
@@ -46,6 +48,16 @@ TEST(TimeSeriesTest, LoadRejectsGarbage) {
     const std::vector<std::byte> junk(32, std::byte{1});
     write_file(dir.path() / "junk.batseries", junk);
     EXPECT_THROW(TimeSeries::load(dir.path() / "junk.batseries"), Error);
+}
+
+TEST(TimeSeriesTest, HugeCountRejectedBeforeAllocating) {
+    TimeSeries series;
+    series.timesteps = {{0, "a.batmeta"}};
+    auto bytes = series.to_bytes();
+    // The entry count follows the magic and version.
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(bytes.data() + 8, &huge, sizeof(huge));
+    EXPECT_THROW(TimeSeries::from_bytes(bytes), Error);
 }
 
 TEST(SeriesTest, WriteAndReadBackThreeTimesteps) {

@@ -2,7 +2,8 @@
 // delta chains versus full rewrites on every timestep — via Dataset, the
 // collective read_particles, DataService query rounds, and the
 // LeafFileCache — plus non-vacuity of the delta path (plan reuse, clean
-// treelets, keyframes) and drift-forced replans.
+// treelets, keyframes), drift-forced replans and count drift under a
+// reused plan.
 
 #include <gtest/gtest.h>
 
@@ -219,7 +220,7 @@ TEST(SeriesDeltaTest, PlanReuseAndDeltaHitsAreNotVacuous) {
             const WriteResult& wr =
                 w.delta_results[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)];
             // Step 0 has no plan to reuse; the workload never drifts, so
-            // every later step must skip gather/tree_build/scatter.
+            // every later step must keep the plan's aggregation.
             EXPECT_EQ(wr.reused_plan, s > 0) << "step " << s << " rank " << r;
             clean += wr.delta_treelets_clean;
             written_treelets += wr.delta_treelets_written;
@@ -290,7 +291,7 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
         const auto rank0 = partition_particles(small, decomp);
         writer.write_timestep(comm, 0, rank0[static_cast<std::size_t>(r)],
                               decomp.rank_box(r));
-        // >125% growth on every rank blows through max_rank_drift (0.3).
+        // >125% growth on every rank blows through kMaxRankDrift (0.3).
         const auto rank1 = partition_particles(big, decomp);
         const WriteResult wr = writer.write_timestep(
             comm, 1, rank1[static_cast<std::size_t>(r)], decomp.rank_box(r));
@@ -311,6 +312,53 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
     Dataset ds = reader.open_timestep(1);
     EXPECT_EQ(testing::particle_keys(ds.collect(BatQuery{})),
               testing::particle_keys(big));
+}
+
+TEST(SeriesDeltaTest, SubThresholdDriftReusesPlanAndStaysBitExact) {
+    // Counts grow by ~15% on every rank with the bounds fixed: under the
+    // drift threshold, so the plan is reused while every aggregator must
+    // still lay out this step's (not the cached step's) sender counts.
+    testing::TempDir dir;
+    const GridDecomp decomp = grid_decomp_3d(kRanks, kDomain);
+    const ParticleSet step0 = make_uniform_particles(kDomain, 8'000, 2, 11);
+    ParticleSet step1 = step0;
+    step1.append(make_uniform_particles(kDomain, 1'200, 2, 12));
+    std::vector<WriteResult> results(kRanks);
+    std::filesystem::path manifest;
+    std::filesystem::path full_meta;
+    // Files large enough that every leaf merges several senders.
+    WriterConfig config = series_config(dir.path(), "grow");
+    config.tree.target_file_size = 256 << 10;
+    WriterConfig full = config;
+    full.basename = "grow_full";
+    std::mutex mutex;
+    vmpi::Runtime::run(kRanks, [&](vmpi::Comm& comm) {
+        const int r = comm.rank();
+        SeriesWriter writer(config);
+        const auto rank0 = partition_particles(step0, decomp);
+        writer.write_timestep(comm, 0, rank0[static_cast<std::size_t>(r)],
+                              decomp.rank_box(r));
+        const auto rank1 = partition_particles(step1, decomp);
+        const WriteResult wr = writer.write_timestep(
+            comm, 1, rank1[static_cast<std::size_t>(r)], decomp.rank_box(r));
+        const WriteResult fw =
+            write_particles(comm, rank1[static_cast<std::size_t>(r)], decomp.rank_box(r), full);
+        const auto path = writer.finalize(comm);
+        std::lock_guard<std::mutex> lock(mutex);
+        results[static_cast<std::size_t>(r)] = wr;
+        if (r == 0) {
+            manifest = path;
+            full_meta = fw.metadata_path;
+        }
+    });
+    for (int r = 0; r < kRanks; ++r) {
+        EXPECT_TRUE(results[static_cast<std::size_t>(r)].reused_plan) << "rank " << r;
+        EXPECT_LT(results[static_cast<std::size_t>(r)].num_leaves, kRanks);
+    }
+    SeriesReader reader(manifest);
+    const ParticleSet got = reader.open_timestep(1).collect(BatQuery{});
+    expect_bit_exact(got, Dataset(full_meta).collect(BatQuery{}));
+    EXPECT_EQ(testing::particle_keys(got), testing::particle_keys(step1));
 }
 
 }  // namespace

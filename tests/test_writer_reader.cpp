@@ -343,7 +343,6 @@ TEST(WriterReaderTest, SpatialSubsetReadReturnsOnlyOverlap) {
     ParticleSet got(setup.global.attr_names());
     vmpi::Runtime::run(1, [&](vmpi::Comm& comm) {
         ReaderConfig rc;
-        rc.half_open = false;
         const ReadResult r = read_particles(comm, meta_path, window, rc);
         got.append(r.particles);
     });

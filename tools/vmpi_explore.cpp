@@ -34,9 +34,10 @@
 #include "io/data_service.hpp"
 #include "io/leaf_cache.hpp"
 #include "io/reader.hpp"
-#include "io/writer.hpp"
+#include "io/series.hpp"
 #include "obs/health.hpp"
 #include "sched/sched.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
 #include "workloads/decomposition.hpp"
@@ -51,8 +52,10 @@ using bat::sched::RunResult;
 const bat::Box kDomain({0, 0, 0}, {4, 4, 4});
 
 /// Writer → reader → DataService round: the pipeline the CI sweep guards.
-/// Small sizes keep one seed in the tens of milliseconds; the schedule
-/// freedom comes from 2 ranks + 2 pool workers, not from data volume.
+/// The writer is a two-step series whose second step reuses the write plan,
+/// so the sweep covers both the replan and the reuse collective. Small
+/// sizes keep one seed in the tens of milliseconds; the schedule freedom
+/// comes from 2 ranks + 2 pool workers, not from data volume.
 void scenario_round() {
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -68,8 +71,12 @@ void scenario_round() {
 
     const int nranks = 2;
     const bat::GridDecomp decomp = bat::grid_decomp_3d(nranks, kDomain);
-    const bat::ParticleSet global = bat::make_uniform_particles(kDomain, 2'000, 2, 7);
-    std::vector<bat::ParticleSet> per_rank = bat::partition_particles(global, decomp);
+    bat::ParticleSet global = bat::make_uniform_particles(kDomain, 2'000, 2, 7);
+    const std::vector<bat::ParticleSet> step0 = bat::partition_particles(global, decomp);
+    // Step 1 grows each rank by ~10%, under kMaxRankDrift: rank 0 keeps the
+    // plan's aggregation and scatters this step's counts.
+    global.append(bat::make_uniform_particles(kDomain, 200, 2, 8));
+    const std::vector<bat::ParticleSet> step1 = bat::partition_particles(global, decomp);
 
     bat::ThreadPool pool(2);
     bat::LeafFileCache cache(16);
@@ -82,9 +89,12 @@ void scenario_round() {
         config.directory = dir;
         config.basename = "ts";
         config.pool = &pool;
-        const bat::WriteResult result = bat::write_particles(
-            comm, per_rank[static_cast<std::size_t>(comm.rank())],
-            decomp.rank_box(comm.rank()), config);
+        bat::SeriesWriter writer(config);
+        const auto r = static_cast<std::size_t>(comm.rank());
+        const bat::Box box = decomp.rank_box(comm.rank());
+        (void)writer.write_timestep(comm, 0, step0[r], box);
+        const bat::WriteResult result = writer.write_timestep(comm, 1, step1[r], box);
+        BAT_CHECK_MSG(result.reused_plan, "step 1 did not reuse the write plan");
         meta_path = result.metadata_path;
     });
 
