@@ -51,57 +51,6 @@ void ParticleSet::append(const ParticleSet& other) {
     }
 }
 
-void ParticleSet::append_rows(std::span<const float> xyz,
-                              std::span<const std::span<const double>> attr_columns,
-                              std::size_t begin, std::size_t end) {
-    BAT_CHECK_MSG(attr_columns.size() == attrs_.size(),
-                  "attribute column count mismatch in append_rows");
-    BAT_CHECK_MSG(begin <= end && 3 * end <= xyz.size(), "append_rows past the positions");
-    for (const std::span<const double> column : attr_columns) {
-        BAT_CHECK_MSG(end <= column.size(), "append_rows past an attribute column");
-    }
-    positions_.insert(positions_.end(), xyz.begin() + static_cast<std::ptrdiff_t>(3 * begin),
-                      xyz.begin() + static_cast<std::ptrdiff_t>(3 * end));
-    for (std::size_t a = 0; a < attrs_.size(); ++a) {
-        const std::span<const double> column = attr_columns[a];
-        attrs_[a].insert(attrs_[a].end(), column.begin() + static_cast<std::ptrdiff_t>(begin),
-                         column.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-}
-
-void ParticleSet::append_gather(std::span<const float> xyz,
-                                std::span<const std::span<const double>> attr_columns,
-                                std::span<const std::uint32_t> idx) {
-    BAT_CHECK_MSG(attr_columns.size() == attrs_.size(),
-                  "attribute column count mismatch in append_gather");
-    if (idx.empty()) {
-        return;
-    }
-    const std::size_t rows = *std::max_element(idx.begin(), idx.end()) + std::size_t{1};
-    BAT_CHECK_MSG(3 * rows <= xyz.size(), "append_gather index past the positions");
-    for (const std::span<const double> column : attr_columns) {
-        BAT_CHECK_MSG(rows <= column.size(), "append_gather index past an attribute column");
-    }
-    const std::size_t at = count();
-    const std::size_t n = idx.size();
-    positions_.resize(3 * (at + n));
-    float* pos = positions_.data() + 3 * at;
-    for (std::size_t k = 0; k < n; ++k) {
-        const float* p = xyz.data() + 3 * std::size_t{idx[k]};
-        pos[3 * k] = p[0];
-        pos[3 * k + 1] = p[1];
-        pos[3 * k + 2] = p[2];
-    }
-    for (std::size_t a = 0; a < attrs_.size(); ++a) {
-        attrs_[a].resize(at + n);
-        double* dst = attrs_[a].data() + at;
-        const double* src = attr_columns[a].data();
-        for (std::size_t k = 0; k < n; ++k) {
-            dst[k] = src[idx[k]];
-        }
-    }
-}
-
 void ParticleSet::append_from(const ParticleSet& other, std::size_t i) {
     BAT_CHECK(other.attr_names_.size() == attr_names_.size());
     positions_.push_back(other.positions_[3 * i]);
@@ -186,12 +135,17 @@ std::pair<double, double> ParticleSet::attr_range(std::size_t a) const {
     return {lo, hi};
 }
 
-void ParticleSet::serialize(BufferWriter& w) const {
-    w.write(static_cast<std::uint64_t>(count()));
-    w.write(static_cast<std::uint32_t>(attrs_.size()));
-    for (const auto& name : attr_names_) {
+void ParticleSet::serialize_header(BufferWriter& w, std::uint64_t n,
+                                   std::span<const std::string> attr_names) {
+    w.write(n);
+    w.write(static_cast<std::uint32_t>(attr_names.size()));
+    for (const auto& name : attr_names) {
         w.write_string(name);
     }
+}
+
+void ParticleSet::serialize(BufferWriter& w) const {
+    serialize_header(w, count(), attr_names_);
     w.write_span(std::span<const float>(positions_));
     for (const auto& a : attrs_) {
         w.write_span(std::span<const double>(a));
@@ -246,16 +200,6 @@ std::size_t ParticleSet::deserialize_into(std::span<const std::byte> bytes,
         r.read_into(std::span<double>(a.data() + at, n));
     }
     return n;
-}
-
-std::size_t ParticleSet::append_from_bytes(std::span<const std::byte> bytes) {
-    // Peek the payload's particle count to grow the arrays, then place the
-    // data directly at the old end.
-    BufferReader header(bytes);
-    const auto n = static_cast<std::size_t>(header.read<std::uint64_t>());
-    const std::size_t at = count();
-    resize(at + n);
-    return deserialize_into(bytes, at);
 }
 
 }  // namespace bat

@@ -61,20 +61,6 @@ public:
     /// Append particle `i` of `other` (same schema required).
     void append_from(const ParticleSet& other, std::size_t i);
 
-    /// Bulk-append rows [begin, end) of raw columns (`xyz` interleaved, one
-    /// span per attribute, each covering at least `end` rows). The query
-    /// range sink ingests whole fast-path treelet windows this way, without
-    /// per-point callbacks.
-    void append_rows(std::span<const float> xyz,
-                     std::span<const std::span<const double>> attr_columns,
-                     std::size_t begin, std::size_t end);
-
-    /// Bulk-append rows idx[0], idx[1], ... of raw columns, in that order:
-    /// the query gather sink's path for a tested window's selection.
-    void append_gather(std::span<const float> xyz,
-                       std::span<const std::span<const double>> attr_columns,
-                       std::span<const std::uint32_t> idx);
-
     /// Copy every particle of `src` (same schema required) into slots
     /// [at, at + src.count()); this set must already be resized to hold
     /// them. The zero-copy aggregation path places each sender's particles
@@ -115,10 +101,13 @@ public:
     /// the number of particles placed.
     std::size_t deserialize_into(std::span<const std::byte> bytes, std::size_t at);
 
-    /// Append a wire payload's particles at the end of this set without
-    /// constructing an intermediate ParticleSet. Returns the number of
-    /// particles appended.
-    std::size_t append_from_bytes(std::span<const std::byte> bytes);
+    /// Write the wire header for `n` particles with these attribute names:
+    /// the u64 count, the u32 attribute count and each name (u32 length,
+    /// bytes). serialize() follows it with the interleaved positions and
+    /// then each attribute column; writers that place those columns
+    /// themselves start from this header.
+    static void serialize_header(BufferWriter& w, std::uint64_t n,
+                                 std::span<const std::string> attr_names);
 
 private:
     std::vector<float> positions_;  // xyz interleaved

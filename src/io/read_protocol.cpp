@@ -1,5 +1,6 @@
 #include "io/read_protocol.hpp"
 
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -87,24 +88,6 @@ LeafRequest decode_request(std::span<const std::byte> bytes) {
     return req;
 }
 
-vmpi::Bytes encode_response(std::uint32_t seq, std::span<const vmpi::Bytes> parts) {
-    std::size_t payload = 0;
-    for (const vmpi::Bytes& part : parts) {
-        payload += part.size();
-    }
-    BufferWriter w(sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t) * parts.size() +
-                   payload);
-    w.write(seq);
-    w.write(static_cast<std::uint32_t>(parts.size()));
-    for (const vmpi::Bytes& part : parts) {
-        w.write(static_cast<std::uint64_t>(part.size()));
-    }
-    for (const vmpi::Bytes& part : parts) {
-        w.write_span(std::span<const std::byte>(part));
-    }
-    return w.take();
-}
-
 ResponseView decode_response(std::span<const std::byte> bytes) {
     BufferReader r(bytes);
     ResponseView view;
@@ -128,20 +111,122 @@ std::uint32_t peek_response_seq(std::span<const std::byte> bytes) {
     return r.read<std::uint32_t>();
 }
 
-QuerySink particle_sink(ParticleSet& out) {
+LeafPlan::LeafPlan(std::shared_ptr<const BatFile> file, const BatQuery& query)
+    : file_(std::move(file)), num_attrs_(file_->num_attrs()) {
     QuerySink sink;
-    sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
-    sink.range = [&out](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
+    sink.point = [](Vec3, std::span<const double>) {
+        BAT_CHECK_MSG(false, "a leaf plan records whole windows only");
+    };
+    sink.range = [this](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
         obs::query_note_fastpath_window();
-        out.append_rows(view.positions, view.attrs, begin, end);
+        record(view, end, begin, end, false);
     };
-    sink.gather = [&out](const BatTreeletView& view, std::span<const std::uint32_t> idx) {
-        out.append_gather(view.positions, view.attrs, idx);
+    sink.gather = [this](const BatTreeletView& view, std::span<const std::uint32_t> idx) {
+        if (idx.empty()) {
+            return;
+        }
+        const std::size_t begin = rows_.size();
+        rows_.insert(rows_.end(), idx.begin(), idx.end());
+        // The selection is ascending: its last index bounds every row.
+        record(view, std::size_t{idx.back()} + 1, begin, rows_.size(), true);
     };
-    return sink;
+    query_bat(*file_, query, sink);
 }
 
-void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
+void LeafPlan::record(const BatTreeletView& view, std::size_t rows, std::size_t begin,
+                      std::size_t end, bool gather) {
+    BAT_CHECK_MSG(view.attrs.size() == num_attrs_ && 3 * rows <= view.positions.size(),
+                  "query window past its treelet's positions");
+    for (const std::span<const double> column : view.attrs) {
+        BAT_CHECK_MSG(rows <= column.size(), "query window past an attribute column");
+    }
+    count_ += end - begin;
+    // A treelet's windows arrive back to back: its columns are kept once.
+    if (windows_.empty() || windows_.back().xyz != view.positions.data()) {
+        windows_.push_back({view.positions.data(), columns_.size(), begin, end, gather});
+        for (const std::span<const double> column : view.attrs) {
+            columns_.push_back(column.data());
+        }
+        return;
+    }
+    // A window that continues the last one of its kind extends it: index
+    // lists are appended back to back, and a contained subtree's windows
+    // tile its rows in preorder.
+    Window& last = windows_.back();
+    if (last.gather == gather && last.end == begin) {
+        last.end = end;
+        return;
+    }
+    windows_.push_back({last.xyz, last.columns, begin, end, gather});
+}
+
+std::vector<std::byte> LeafPlan::wire_header(std::span<const std::string> attr_names) const {
+    BufferWriter w;
+    ParticleSet::serialize_header(w, count_, attr_names);
+    return w.take();
+}
+
+std::size_t LeafPlan::wire_size(std::span<const std::string> attr_names) const {
+    return wire_header(attr_names).size() +
+           count_ * (3 * sizeof(float) + attr_names.size() * sizeof(double));
+}
+
+void LeafPlan::write_wire(std::span<std::byte> dst,
+                          std::span<const std::string> attr_names) const {
+    BAT_CHECK_MSG(dst.size() == wire_size(attr_names) && attr_names.size() == num_attrs_,
+                  "leaf part buffer does not fit its plan");
+    const std::vector<std::byte> header = wire_header(attr_names);
+    std::memcpy(dst.data(), header.data(), header.size());
+    std::byte* const xyz = dst.data() + header.size();
+    std::vector<std::byte*> attrs(num_attrs_);
+    for (std::size_t a = 0; a < num_attrs_; ++a) {
+        attrs[a] = xyz + (3 * sizeof(float) + a * sizeof(double)) * count_;
+    }
+    write_columns(xyz, attrs);
+}
+
+void LeafPlan::write_into(ParticleSet& out, std::size_t at) const {
+    BAT_CHECK_MSG(out.num_attrs() == num_attrs_ && at + count_ <= out.count(),
+                  "leaf plan past the end of the set");
+    std::vector<std::byte*> attrs(num_attrs_);
+    for (std::size_t a = 0; a < num_attrs_; ++a) {
+        attrs[a] = reinterpret_cast<std::byte*>(out.attr_mut(a).data() + at);
+    }
+    write_columns(reinterpret_cast<std::byte*>(out.positions_mut().data() + 3 * at), attrs);
+}
+
+void LeafPlan::write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const {
+    constexpr std::size_t kPoint = 3 * sizeof(float);
+    // Column by column: one destination stream at a time. memcpy keeps the
+    // wire payload's unaligned columns well-defined.
+    for (const Window& w : windows_) {
+        if (!w.gather) {
+            std::memcpy(xyz, w.xyz + 3 * w.begin, kPoint * (w.end - w.begin));
+            xyz += kPoint * (w.end - w.begin);
+            continue;
+        }
+        for (std::size_t k = w.begin; k < w.end; ++k, xyz += kPoint) {
+            std::memcpy(xyz, w.xyz + 3 * std::size_t{rows_[k]}, kPoint);
+        }
+    }
+    for (std::size_t a = 0; a < attrs.size(); ++a) {
+        std::byte* dst = attrs[a];
+        for (const Window& w : windows_) {
+            const double* src = columns_[w.columns + a];
+            if (!w.gather) {
+                std::memcpy(dst, src + w.begin, sizeof(double) * (w.end - w.begin));
+                dst += sizeof(double) * (w.end - w.begin);
+                continue;
+            }
+            for (std::size_t k = w.begin; k < w.end; ++k, dst += sizeof(double)) {
+                std::memcpy(dst, src + rows_[k], sizeof(double));
+            }
+        }
+    }
+}
+
+std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads,
+                            std::size_t tail) {
     if (sched::maybe_active()) {
         // The merged result buffer is rank-local by design; the annotation
         // catches any future schedule where two threads merge into one set.
@@ -164,7 +249,7 @@ void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
         }
     }
     std::size_t at = out.count();
-    out.resize(at + total);
+    out.resize(at + total + tail);
     for (const ResponseView& view : views) {
         for (const std::span<const std::byte> part : view.parts) {
             if (part.empty()) {
@@ -173,15 +258,19 @@ void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads) {
             at += out.deserialize_into(part, at);
         }
     }
+    return at;
 }
 
 LeafServer::LeafServer(vmpi::Comm& comm, int request_tag, int response_tag,
-                       ThreadPool* pool, ServeLeafFn serve_leaf)
+                       ThreadPool* pool, std::span<const std::string> attr_names,
+                       OpenLeafFn open_leaf)
     : comm_(comm),
+      rank_(comm.rank()),
       request_tag_(request_tag),
       response_tag_(response_tag),
       pool_(pool != nullptr && pool->num_threads() > 0 ? pool : nullptr),
-      serve_leaf_(std::move(serve_leaf)) {
+      attr_names_(attr_names),
+      open_leaf_(std::move(open_leaf)) {
     if (pool_ != nullptr) {
         group_.emplace(*pool_);
     }
@@ -202,77 +291,131 @@ void LeafServer::start_job(int src, const vmpi::Bytes& payload) {
     leaves_served_ += n;
     // Accepting a request is progress even while the leaf jobs are still in
     // flight — a serving rank stuck behind a slow peer stays "live".
-    obs::note_leaves_served(comm_.rank(), n);
-    const int serve_rank = comm_.rank();
+    obs::note_leaves_served(rank_, n);
     Job* j = job.get();
     jobs_.push_back(std::move(job));
-    // The serving rank adopts the originating query's identity for each leaf
-    // evaluation: the scope here makes ThreadPool capture it at enqueue, and
-    // the scope inside the task covers inline and work-helping execution.
-    obs::QueryScope enqueue_scope(j->ctx);
     for (std::size_t i = 0; i < n; ++i) {
-        auto task = [this, j, i, serve_rank] {
-            obs::QueryScope qscope(j->ctx);
-            const bool traced = obs::trace_enabled();
-            if (traced) {
-                if (j->ctx.valid()) {
-                    obs::emit_begin_arg("read.serve_leaf", "read", "qtrace",
-                                        static_cast<std::int64_t>(j->ctx.trace_id));
-                } else {
-                    obs::emit_begin("read.serve_leaf", "read");
-                }
-            }
-            const bool tracked = obs::span_tracking_enabled();
-            if (tracked) {
-                obs::detail::push_span("read.serve_leaf");
-            }
-            std::uint64_t hits0 = 0;
-            std::uint64_t misses0 = 0;
-            obs::query_thread_cache_counts(&hits0, &misses0);
-            const std::uint64_t t0 = obs::trace_now_ns();
-            try {
-                j->parts[i] = serve_leaf_(j->leaves[i], j->query);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(err_mutex_);
-                if (!first_error_) {
-                    first_error_ = std::current_exception();
-                }
-            }
-            const std::uint64_t t1 = obs::trace_now_ns();
-            if (tracked) {
-                obs::detail::pop_span();
-            }
-            if (traced) {
-                obs::emit_end("read.serve_leaf", "read");
-            }
+        spawn(j, i, /*write=*/false);
+    }
+}
+
+void LeafServer::start_writes(Job& job) {
+    const std::size_t n = job.parts.size();
+    std::size_t size = 2 * sizeof(std::uint32_t) + n * sizeof(std::uint64_t);
+    for (Part& part : job.parts) {
+        part.offset = size;
+        size += part.size;
+    }
+    job.response.resize(size);
+    BufferWriter header(job.parts.empty() ? size : job.parts.front().offset);
+    header.write(job.seq);
+    header.write(static_cast<std::uint32_t>(n));
+    for (const Part& part : job.parts) {
+        header.write(static_cast<std::uint64_t>(part.size));
+    }
+    std::memcpy(job.response.data(), header.bytes().data(), header.size());
+    job.writing = true;
+    job.remaining.store(n, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+        spawn(&job, i, /*write=*/true);
+    }
+}
+
+void LeafServer::spawn(Job* j, std::size_t i, bool write) {
+    // The serving rank adopts the originating query's identity for each leaf
+    // task: the scope here makes ThreadPool capture it at enqueue, and the
+    // scope inside the task covers inline and work-helping execution.
+    obs::QueryScope enqueue_scope(j->ctx);
+    auto task = [this, j, i, write] {
+        obs::QueryScope qscope(j->ctx);
+        const char* name = write ? "read.serve_part" : "read.serve_leaf";
+        const bool traced = obs::trace_enabled();
+        if (traced) {
             if (j->ctx.valid()) {
-                std::uint64_t hits1 = 0;
-                std::uint64_t misses1 = 0;
-                obs::query_thread_cache_counts(&hits1, &misses1);
-                obs::QueryServeSpan span;
-                span.trace_id = j->ctx.trace_id;
-                span.origin_rank = j->ctx.origin_rank;
-                span.query_seq = j->ctx.seq;
-                span.serve_rank = serve_rank;
-                span.leaf = j->leaves[i];
-                span.start_ns = t0;
-                span.dur_ns = t1 - t0;
-                span.bytes = j->parts[i].size();
-                span.cache_hit = hits1 > hits0 && misses1 == misses0;
-                // Recorded before the release decrement below: once the
-                // origin has this job's response, the span is visible in the
-                // process-wide ring — query_finalize never races it.
-                obs::query_record_serve_span(span);
+                obs::emit_begin_arg(name, "read", "qtrace",
+                                    static_cast<std::int64_t>(j->ctx.trace_id));
+            } else {
+                obs::emit_begin(name, "read");
             }
-            // Release pairs with the acquire load in send_ready(): the comm
-            // thread must see the finished part bytes.
-            j->remaining.fetch_sub(1, std::memory_order_release);
-        };
-        if (group_) {
-            group_->run(std::move(task));
-        } else {
-            task();
         }
+        const bool tracked = obs::span_tracking_enabled();
+        if (tracked) {
+            obs::detail::push_span(name);
+        }
+        if (write) {
+            write_part(*j, i);
+        } else {
+            plan_part(*j, i);
+        }
+        if (tracked) {
+            obs::detail::pop_span();
+        }
+        if (traced) {
+            obs::emit_end(name, "read");
+        }
+        // Release pairs with the acquire load in send_ready(): the comm
+        // thread must see the finished plan or part bytes.
+        j->remaining.fetch_sub(1, std::memory_order_release);
+    };
+    if (group_) {
+        group_->run(std::move(task));
+    } else {
+        task();
+    }
+}
+
+void LeafServer::plan_part(Job& j, std::size_t i) {
+    Part& part = j.parts[i];
+    std::uint64_t hits0 = 0;
+    std::uint64_t misses0 = 0;
+    obs::query_thread_cache_counts(&hits0, &misses0);
+    part.start_ns = obs::trace_now_ns();
+    try {
+        part.plan = LeafPlan(open_leaf_(j.leaves[i]), j.query);
+        part.size = part.plan.wire_size(attr_names_);
+    } catch (...) {
+        note_error();
+    }
+    std::uint64_t hits1 = 0;
+    std::uint64_t misses1 = 0;
+    obs::query_thread_cache_counts(&hits1, &misses1);
+    part.cache_hit = hits1 > hits0 && misses1 == misses0;
+}
+
+void LeafServer::write_part(Job& j, std::size_t i) {
+    Part& part = j.parts[i];
+    if (part.size != 0) {
+        try {
+            part.plan.write_wire({j.response.data() + part.offset, part.size}, attr_names_);
+        } catch (...) {
+            note_error();
+        }
+    }
+    part.plan = LeafPlan();  // done with the leaf's mapping
+    if (!j.ctx.valid()) {
+        return;
+    }
+    // The span runs from the leaf's plan to its written part.
+    obs::QueryServeSpan span;
+    span.trace_id = j.ctx.trace_id;
+    span.origin_rank = j.ctx.origin_rank;
+    span.query_seq = j.ctx.seq;
+    span.serve_rank = rank_;
+    span.leaf = j.leaves[i];
+    span.start_ns = part.start_ns;
+    span.dur_ns = obs::trace_now_ns() - part.start_ns;
+    span.bytes = part.size;
+    span.cache_hit = part.cache_hit;
+    // Recorded before the task's release decrement: once the origin has
+    // this job's response, the span is visible in the process-wide ring —
+    // query_finalize never races it.
+    obs::query_record_serve_span(span);
+}
+
+void LeafServer::note_error() {
+    std::lock_guard<std::mutex> lock(err_mutex_);
+    if (!first_error_) {
+        first_error_ = std::current_exception();
     }
 }
 
@@ -284,9 +427,15 @@ bool LeafServer::send_ready() {
             ++it;
             continue;
         }
-        vmpi::Bytes response = encode_response(job.seq, job.parts);
-        bytes_shipped_ += response.size();
-        comm_.isend(job.src, response_tag_, std::move(response));
+        if (!job.writing) {
+            start_writes(job);  // serving inline, the parts are written here
+            if (job.remaining.load(std::memory_order_acquire) != 0) {
+                ++it;
+                continue;
+            }
+        }
+        bytes_shipped_ += job.response.size();
+        comm_.isend(job.src, response_tag_, std::move(job.response));
         it = jobs_.erase(it);
         sent = true;
     }
@@ -311,11 +460,14 @@ bool LeafServer::help() {
 }
 
 void LeafServer::finish() {
-    if (group_) {
-        group_->wait();
+    // Each pass lets every job move one step: plans in → parts written →
+    // response sent.
+    while (!jobs_.empty()) {
+        if (group_) {
+            group_->wait();
+        }
+        send_ready();
     }
-    send_ready();
-    BAT_CHECK_MSG(jobs_.empty(), "LeafServer finished with unsent responses");
     std::exception_ptr err;
     {
         std::lock_guard<std::mutex> lock(err_mutex_);
@@ -380,18 +532,30 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
     // ---- client-server loop until the round barrier completes ---------------
     std::atomic<std::uint64_t> bytes_read{0};
     const auto open_leaf = [&](std::int32_t leaf) {
+        BAT_CHECK_MSG(leaf >= 0 && static_cast<std::size_t>(leaf) < meta.leaves.size(),
+                      "leaf id out of range in read request");
         return setup.cache.open(setup.dir / meta.leaves[static_cast<std::size_t>(leaf)].file,
                                 &bytes_read);
     };
     LeafServer server(comm, setup.request_tag, setup.response_tag, setup.pool,
-                      [&](std::int32_t leaf, const BatQuery& leaf_query) {
-                          BAT_CHECK_MSG(leaf >= 0 && static_cast<std::size_t>(leaf) <
-                                                         meta.leaves.size(),
-                                        "leaf id out of range in read request");
-                          ParticleSet out(meta.attr_names);
-                          query_bat(*open_leaf(leaf), leaf_query, particle_sink(out));
-                          return out.to_bytes();
-                      });
+                      meta.attr_names, open_leaf);
+    // The local leaves are planned where the loop would otherwise yield. A
+    // failure is held until the barrier is through: leaving the loop early
+    // would strand the other ranks in it.
+    std::vector<LeafPlan> local_plans;
+    local_plans.reserve(local_leaves.size());
+    std::exception_ptr local_error;
+    const auto plan_local = [&] {
+        if (local_error || local_plans.size() == local_leaves.size()) {
+            return false;
+        }
+        try {
+            local_plans.emplace_back(open_leaf(local_leaves[local_plans.size()]), *query);
+        } catch (...) {
+            local_error = std::current_exception();
+        }
+        return true;
+    };
     // Buffered raw responses, slotted by request seq: ingestion order below
     // is the request-issue order, independent of arrival order.
     std::vector<vmpi::Bytes> responses(requests.size());
@@ -417,19 +581,29 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
         if (pending == 0 && server.idle() && barrier.test()) {
             break;
         }
-        if (!progressed && !server.help()) {
+        if (!progressed && !server.help() && !plan_local()) {
             std::this_thread::yield();
         }
     }
+    while (plan_local()) {
+    }
     server.finish();
+    if (local_error) {
+        std::rethrow_exception(local_error);
+    }
     const std::uint64_t serve_done_ns = next_stage("read.merge", &ReadPhaseTimings::merge);
 
     // ---- zero-copy ingestion, then the local leaves (paper §IV-B) -----------
-    merge_responses(result.particles, responses);
+    // One resize holds the merged responses and the local leaves after them.
+    std::size_t local_count = 0;
+    for (const LeafPlan& plan : local_plans) {
+        local_count += plan.count();
+    }
+    std::size_t at = merge_responses(result.particles, responses, local_count);
     const std::uint64_t merge_done_ns = next_stage("read.local", &ReadPhaseTimings::local);
-    const QuerySink sink = particle_sink(result.particles);
-    for (int leaf : local_leaves) {
-        query_bat(*open_leaf(leaf), *query, sink);
+    for (const LeafPlan& plan : local_plans) {
+        plan.write_into(result.particles, at);
+        at += plan.count();
     }
     phase.reset();
     const std::uint64_t end_ns = obs::trace_now_ns();

@@ -10,8 +10,14 @@
 // request order, and echoes the client-chosen `seq` so clients can key
 // responses to requests deterministically regardless of completion order.
 //
-// LeafServer fans the per-leaf query evaluations of incoming requests out
-// to a ThreadPool while the owning rank's comm loop keeps progressing
+// One copy per served point: every leaf, served or local, is a LeafPlan —
+// the query runs once and records its windows, so the point count is known
+// before a payload byte moves — and then each point is copied once, from
+// the mapped leaf straight into its exactly sized response part or its
+// slot of the round's result.
+//
+// LeafServer fans the per-leaf plans and part writes of incoming requests
+// out to a ThreadPool while the owning rank's comm loop keeps progressing
 // probes and the round barrier (the paper's overlap of serving with
 // communication, §IV-B). Workers only fill byte buffers; every vmpi call
 // stays on the comm thread, which vmpi requires.
@@ -21,8 +27,10 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/bat_query.hpp"
@@ -49,11 +57,11 @@ struct LeafRequest {
 vmpi::Bytes encode_request(const LeafRequest& req);
 LeafRequest decode_request(std::span<const std::byte> bytes);
 
-/// parts[i] is the serialized ParticleSet payload for the request's i-th
-/// leaf. An empty part means the server failed on that leaf (the error is
-/// rethrown server-side; clients skip empty parts).
-vmpi::Bytes encode_response(std::uint32_t seq, std::span<const vmpi::Bytes> parts);
-
+/// A response is a u32 seq, a u32 part count, one u64 length per part and
+/// then the parts back to back; parts[i] is the serialized ParticleSet
+/// payload for the request's i-th leaf. An empty part means the server
+/// failed on that leaf (the error is rethrown server-side; clients skip
+/// empty parts).
 struct ResponseView {
     std::uint32_t seq = 0;
     std::vector<std::span<const std::byte>> parts;  // views into the payload
@@ -63,49 +71,94 @@ ResponseView decode_response(std::span<const std::byte> bytes);
 /// The seq of a response payload without decoding the parts.
 std::uint32_t peek_response_seq(std::span<const std::byte> bytes);
 
-/// Sink appending query results to `out`, one bulk append per window:
-/// fast-path windows through ParticleSet::append_rows, tested windows
-/// through ParticleSet::append_gather. The reader and the DataService
-/// serve and query their local leaves through it.
-QuerySink particle_sink(ParticleSet& out);
+/// One leaf query, planned: query_bat runs once through a recording sink
+/// that keeps each emitted window — its treelet's columns plus the
+/// [begin, end) range or the ascending index list — so count() is known
+/// before any point is copied. The writers then copy every point once, in
+/// emission order, straight from the mapped leaf, which the plan holds.
+class LeafPlan {
+public:
+    LeafPlan() = default;
+    LeafPlan(std::shared_ptr<const BatFile> file, const BatQuery& query);
+
+    std::size_t count() const { return count_; }
+
+    /// Size of the plan's ParticleSet wire payload under `attr_names`.
+    std::size_t wire_size(std::span<const std::string> attr_names) const;
+    /// Write that payload (ParticleSet::to_bytes() of the points) into
+    /// `dst`, which must be exactly wire_size() bytes.
+    void write_wire(std::span<std::byte> dst, std::span<const std::string> attr_names) const;
+    /// Write the points into slots [at, at + count()) of `out`, which must
+    /// already hold them and have the file's attribute count.
+    void write_into(ParticleSet& out, std::size_t at) const;
+
+private:
+    struct Window {
+        const float* xyz = nullptr;  // the treelet's interleaved positions
+        std::size_t columns = 0;     // its attribute columns, in columns_
+        std::size_t begin = 0;       // range: rows; gather: indices in rows_
+        std::size_t end = 0;
+        bool gather = false;
+    };
+
+    void record(const BatTreeletView& view, std::size_t rows, std::size_t begin,
+                std::size_t end, bool gather);
+    std::vector<std::byte> wire_header(std::span<const std::string> attr_names) const;
+    void write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const;
+
+    std::shared_ptr<const BatFile> file_;
+    std::size_t num_attrs_ = 0;
+    std::size_t count_ = 0;
+    std::vector<Window> windows_;
+    std::vector<const double*> columns_;
+    std::vector<std::uint32_t> rows_;
+};
 
 /// Merge response payloads into `out` in the given order with one resize
-/// and ParticleSet::deserialize_into per part — no intermediate sets.
-void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads);
+/// and ParticleSet::deserialize_into per part — no intermediate sets. The
+/// resize also makes room for `tail` more particles after the merged ones
+/// (the round's local leaves); returns the slot where that room starts.
+std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads,
+                            std::size_t tail = 0);
 
 /// Serves coalesced leaf requests arriving on `request_tag`, answering on
-/// `response_tag`. Each progress() call drains every iprobe-able request,
-/// fans its leaf evaluations to `pool` (nullptr or zero workers = evaluate
-/// inline, the serial path), and isends any response whose last part has
-/// finished. Responses leave in per-destination request order only as a
-/// side effect of job scan order; correctness rests on seq keying, not
-/// ordering.
+/// `response_tag`. Each progress() call drains every iprobe-able request
+/// and fans its leaf plans to `pool` (nullptr or zero workers = inline, the
+/// serial path). Once a request's plans are in, the comm thread sizes its
+/// response exactly and fans out the part writes; a response whose last
+/// part is written is isent. Responses leave in per-destination request
+/// order only as a side effect of job scan order; correctness rests on seq
+/// keying, not ordering.
 class LeafServer {
 public:
-    /// serve_leaf runs on pool workers: it must not touch the Comm and must
-    /// be safe to call concurrently for different leaves.
-    using ServeLeafFn = std::function<vmpi::Bytes(std::int32_t, const BatQuery&)>;
+    /// Opens a requested leaf's file. Runs on pool workers: it must not
+    /// touch the Comm and must be safe to call concurrently.
+    using OpenLeafFn = std::function<std::shared_ptr<const BatFile>(std::int32_t)>;
 
+    /// `attr_names` (the data set's) name the columns of every part; they
+    /// must outlive the server.
     LeafServer(vmpi::Comm& comm, int request_tag, int response_tag, ThreadPool* pool,
-               ServeLeafFn serve_leaf);
+               std::span<const std::string> attr_names, OpenLeafFn open_leaf);
 
-    /// Drain requests, send finished responses. Returns true if any message
-    /// moved (the caller's loop yields otherwise).
+    /// Drain requests, start the part writes of fully planned responses and
+    /// send finished ones. Returns true if any message moved (the caller's
+    /// loop yields otherwise).
     bool progress();
 
     /// Run one queued pool task on the calling (comm) thread. Called by the
     /// serve loop when progress() moved nothing: instead of yielding its
-    /// timeslice the comm thread helps compute leaf responses, which keeps
-    /// the pooled path from losing to serial serving on starved machines.
-    /// Returns false when serving inline or the pool queue was empty.
+    /// timeslice the comm thread helps plan and write leaf parts, which
+    /// keeps the pooled path from losing to serial serving on starved
+    /// machines. Returns false when serving inline or the pool queue was
+    /// empty.
     bool help();
 
     /// No response is still being computed or waiting to be sent.
     bool idle() const { return jobs_.empty(); }
 
     /// Wait out remaining worker tasks, send the last responses, and
-    /// rethrow the first serve_leaf error, if any. Call after the round
-    /// barrier completes (at which point no new request can arrive).
+    /// rethrow the first leaf error, if any. Call after the round barrier
+    /// completes (at which point no new request can arrive).
     void finish();
 
     std::uint64_t requests_served() const { return requests_served_; }
@@ -113,31 +166,50 @@ public:
     std::uint64_t bytes_shipped() const { return bytes_shipped_; }
 
 private:
+    struct Part {
+        LeafPlan plan;  // holds the leaf file until the part is written
+        std::size_t offset = 0;
+        std::size_t size = 0;  // 0 = the leaf failed
+        std::uint64_t start_ns = 0;
+        bool cache_hit = false;
+    };
     struct Job {
         int src = -1;
         std::uint32_t seq = 0;
         std::vector<std::int32_t> leaves;
         BatQuery query;
         obs::QueryContext ctx;
-        std::vector<vmpi::Bytes> parts;
-        std::atomic<std::size_t> remaining{0};
+        std::vector<Part> parts;
+        vmpi::Bytes response;  // sized once every part is planned
+        bool writing = false;
+        std::atomic<std::size_t> remaining{0};  // plan or write tasks in flight
     };
 
     void start_job(int src, const vmpi::Bytes& payload);
+    void start_writes(Job& job);
+    void spawn(Job* job, std::size_t i, bool write);
+    void plan_part(Job& job, std::size_t i);
+    void write_part(Job& job, std::size_t i);
+    void note_error();
     bool send_ready();
 
     vmpi::Comm& comm_;
+    int rank_;  // read once: pool workers never touch the Comm
     int request_tag_;
     int response_tag_;
     ThreadPool* pool_;
-    ServeLeafFn serve_leaf_;
-    std::optional<TaskGroup> group_;
+    std::span<const std::string> attr_names_;
+    OpenLeafFn open_leaf_;
     std::vector<std::unique_ptr<Job>> jobs_;
     std::uint64_t requests_served_ = 0;
     std::uint64_t leaves_served_ = 0;
     std::uint64_t bytes_shipped_ = 0;
     std::mutex err_mutex_;
     std::exception_ptr first_error_;
+    // Last, so it is destroyed first: when a round unwinds on an error,
+    // ~TaskGroup waits out the in-flight tasks before the jobs and the
+    // error slot they touch go away.
+    std::optional<TaskGroup> group_;
 };
 
 /// What a query round runs against: the caller's communicator, data set,
@@ -166,12 +238,13 @@ struct RoundResult {
 /// leaves through the metadata (nullptr = this rank asks for nothing);
 /// remote leaves are requested with one message per aggregator, or one per
 /// leaf when `!coalesce`. The rank serves the other ranks' requests until a
-/// nonblocking barrier confirms every rank has its responses, merges its
-/// responses in request order, then queries its own leaves, so results are
-/// byte-identical whatever the arrival order or pool. The round ends by
-/// writing the query record for `ctx` (op `op`, wall from `start_ns`). With
-/// `phases`, the stages open the read.request / read.serve / read.merge /
-/// read.local phase spans into it.
+/// nonblocking barrier confirms every rank has its responses, planning its
+/// own leaves in the loop's idle spins. It then sizes the result once,
+/// merges its responses in request order and writes its own leaves after
+/// them, so results are byte-identical whatever the arrival order or pool.
+/// The round ends by writing the query record for `ctx` (op `op`, wall
+/// from `start_ns`). With `phases`, the stages open the read.request /
+/// read.serve / read.merge / read.local phase spans into it.
 RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coalesce,
                         const obs::QueryContext& ctx, std::uint64_t start_ns,
                         const char* op, ReadPhaseTimings* phases);

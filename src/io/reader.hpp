@@ -49,9 +49,10 @@ struct ReaderConfig {
 struct ReadPhaseTimings {
     double metadata = 0;  // reading + parsing the metadata file
     double request = 0;   // overlap computation + coalesced query sends
-    double serve = 0;     // server loop (incl. file reads + transfers)
+    double serve = 0;     // server loop (incl. file reads + transfers and
+                          // planning the self-queries in idle spins)
     double merge = 0;     // zero-copy ingestion of buffered responses
-    double local = 0;     // self-queries after the loop
+    double local = 0;     // writing the self-queried points after them
 
     double total() const { return metadata + request + serve + merge + local; }
 

@@ -77,7 +77,7 @@ void clear_level_for_testing() {
 }
 
 // ---- binning ---------------------------------------------------------------
-// bin(v) = #{ j in [1, kBinCount) : edges[j] <= v }, which is exactly what
+// bin(v) = #{ j in [1, kBinCount) : !(v < edges[j]) }, which is exactly what
 // std::upper_bound(edges+1, edges+kBinCount, v) - (edges+1) computes over
 // monotone edges (bat::bin_of). The scalar tier keeps the branchy binary
 // search the seed used; the AVX2 tier counts all 31 comparisons branch-free.
@@ -108,7 +108,9 @@ void bin_values_scalar(const double* values, std::size_t n, const double* edges,
 #if BAT_SIMD_X86
 
 /// Bins of 8 values (two 4-lane registers) as packed u64 lane counts:
-/// for each interior edge, v >= edge contributes one (cmp_pd mask is -1).
+/// for each interior edge, !(v < edge) contributes one (cmp_pd mask is -1).
+/// The unordered compare counts a NaN past every edge, into the top bin,
+/// exactly where upper_bound puts it.
 [[gnu::target("avx2")]] inline void bins8_avx2(__m256d v0, __m256d v1,
                                                const double* edges, __m256i* b0,
                                                __m256i* b1) {
@@ -117,9 +119,9 @@ void bin_values_scalar(const double* values, std::size_t n, const double* edges,
     for (int j = 1; j < kBinCount; ++j) {
         const __m256d e = _mm256_broadcast_sd(edges + j);
         acc0 = _mm256_sub_epi64(acc0,
-                                _mm256_castpd_si256(_mm256_cmp_pd(v0, e, _CMP_GE_OQ)));
+                                _mm256_castpd_si256(_mm256_cmp_pd(v0, e, _CMP_NLT_UQ)));
         acc1 = _mm256_sub_epi64(acc1,
-                                _mm256_castpd_si256(_mm256_cmp_pd(v1, e, _CMP_GE_OQ)));
+                                _mm256_castpd_si256(_mm256_cmp_pd(v1, e, _CMP_NLT_UQ)));
     }
     *b0 = acc0;
     *b1 = acc1;

@@ -6,9 +6,10 @@
 //   sse42_bmi2 — scalar loops using BMI2 pdep for the Morton bit spread;
 //   avx2       — AVX2 vector quantize / compare / reduce + BMI2 spread.
 //
-// Every tier produces bit-identical results for NaN-free inputs (the BAT
-// determinism tests are the contract: a build with BAT_NO_SIMD=1 must
-// serialize to exactly the bytes the default build makes). To keep min/max
+// Every tier produces bit-identical results for NaN-free inputs, and the
+// binning kernels also for NaNs (the BAT determinism tests are the
+// contract: a build with BAT_NO_SIMD=1 must serialize to exactly the bytes
+// the default build makes). To keep min/max
 // reductions order-independent even for mixed ±0.0 inputs, the min/max
 // kernels canonicalize -0.0 to +0.0 (v + 0.0) in *all* tiers.
 //
@@ -67,8 +68,10 @@ void clear_level_for_testing();
 inline constexpr int kBinCount = 32;
 
 /// OR of (1u << bin) over `values[0..n)`, where bin is the number of edges
-/// in edges[1..kBinCount-1] that are <= v — exactly the upper_bound-based
-/// bat::bin_of. `edges` has kBinCount + 1 monotone entries. NaN-free input.
+/// in edges[1..kBinCount-1] that v is not below — exactly the
+/// upper_bound-based bat::bin_of. A NaN is below no edge, so it lands in
+/// bin kBinCount - 1 in every tier. `edges` has kBinCount + 1 monotone
+/// entries.
 std::uint32_t bin_bitmap_batch(const double* values, std::size_t n,
                                const double* edges);
 

@@ -46,6 +46,23 @@ std::vector<testing::ParticleKey> collect(const BatFile& file, const BatQuery& q
     return keys;
 }
 
+/// Append row `i` of a query window's treelet to `out` (the bulk sinks'
+/// test-local ingestion: one push_back per point).
+void append_row(ParticleSet& out, const BatTreeletView& view, std::uint32_t i) {
+    std::vector<double> attrs(view.attrs.size());
+    for (std::size_t a = 0; a < attrs.size(); ++a) {
+        attrs[a] = view.attrs[a][i];
+    }
+    out.push_back(view.position(i), attrs);
+}
+
+void append_rows(ParticleSet& out, const BatTreeletView& view, std::uint32_t begin,
+                 std::uint32_t end) {
+    for (std::uint32_t i = begin; i < end; ++i) {
+        append_row(out, view, i);
+    }
+}
+
 std::vector<testing::ParticleKey> reference(const ParticleSet& set, const Box& box,
                                             bool inclusive, int attr = -1, double lo = 0,
                                             double hi = 0) {
@@ -287,7 +304,7 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
         };
         sink.range = [&via_sink](const BatTreeletView& view, std::uint32_t begin,
                                  std::uint32_t end) {
-            via_sink.append_rows(view.positions, view.attrs, begin, end);
+            append_rows(via_sink, view, begin, end);
         };
         QueryStats stats;
         const std::uint64_t n = query_bat(file, query, sink, &stats);
@@ -349,13 +366,15 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
         if (range) {
             sink.range = [&out](const BatTreeletView& view, std::uint32_t begin,
                                 std::uint32_t end) {
-                out.append_rows(view.positions, view.attrs, begin, end);
+                append_rows(out, view, begin, end);
             };
         }
         if (gather) {
             sink.gather = [&out](const BatTreeletView& view,
                                  std::span<const std::uint32_t> idx) {
-                out.append_gather(view.positions, view.attrs, idx);
+                for (const std::uint32_t i : idx) {
+                    append_row(out, view, i);
+                }
             };
         }
         const std::uint64_t n = query_bat(source, query, sink, stats);
@@ -409,7 +428,7 @@ TEST(BatQueryTest, FastPathRespectsProgressiveWindows) {
         };
         sink.range = [&part](const BatTreeletView& view, std::uint32_t begin,
                              std::uint32_t end) {
-            part.append_rows(view.positions, view.attrs, begin, end);
+            append_rows(part, view, begin, end);
         };
         QueryStats stats;
         query_bat(file, query, sink, &stats);

@@ -1,7 +1,8 @@
 // Tests for the parallel, batched read path: threaded leaf serving vs the
 // serial path (byte-identical), request coalescing (O(aggregators)
 // messages), protocol-validator cleanliness under concurrent serving, the
-// shared LRU leaf-file cache, and rejection of malformed read-protocol
+// shared LRU leaf-file cache, served parts and read results against
+// point-by-point queries, and rejection of malformed read-protocol
 // messages. The sanitizer matrix runs this file under TSan, covering the
 // comm-thread/worker handoff in LeafServer, and under ASan+UBSan.
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 
@@ -16,8 +18,10 @@
 #include "io/leaf_cache.hpp"
 #include "io/read_protocol.hpp"
 #include "io/reader.hpp"
+#include "io/series.hpp"
 #include "io/writer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/buffer.hpp"
 #include "util/thread_pool.hpp"
@@ -280,6 +284,217 @@ TEST(ReadParallelTest, ReadReportsMergePhaseAndBytesRead) {
     EXPECT_EQ(bytes_read.load(), file_bytes);
 }
 
+// ---- served parts against point-by-point queries ----------------------------
+
+/// `leaf` queried point by point through a QueryCallback: the reference
+/// every served part (its to_bytes()) and every read result is built from.
+ParticleSet pointwise_leaf(const Metadata& meta, const std::filesystem::path& dir, int leaf,
+                           const BatQuery& query) {
+    const BatFile file(dir / meta.leaves[static_cast<std::size_t>(leaf)].file);
+    ParticleSet out(meta.attr_names);
+    query_bat(file, query,
+              [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); });
+    return out;
+}
+
+/// The coalesced response layout: u32 seq, u32 part count, one u64 length
+/// per part, then the parts back to back.
+vmpi::Bytes encode_parts(std::uint32_t seq, const std::vector<vmpi::Bytes>& parts) {
+    BufferWriter w;
+    w.write(seq);
+    w.write(static_cast<std::uint32_t>(parts.size()));
+    for (const vmpi::Bytes& part : parts) {
+        w.write(static_cast<std::uint64_t>(part.size()));
+    }
+    for (const vmpi::Bytes& part : parts) {
+        w.write_span(std::span<const std::byte>(part));
+    }
+    return w.take();
+}
+
+constexpr int kTagTestRequest = 40;
+constexpr int kTagTestResponse = 41;
+
+/// The raw response a serving rank sends for one request of `leaves` under
+/// `query`: rank 0 runs a query round that asks for nothing, while rank 1
+/// plays a hand-made client — it sends the request, takes the response and
+/// then joins the round's barrier. The request carries no query identity,
+/// so a query log armed around the test holds only rank 0's (empty) record.
+vmpi::Bytes serve_raw(const std::filesystem::path& meta_path,
+                      const std::vector<std::int32_t>& leaves, const BatQuery& query,
+                      ThreadPool* pool) {
+    const Metadata meta = Metadata::load(meta_path);
+    const std::filesystem::path dir = meta_path.parent_path();
+    const std::vector<int> aggregator(meta.leaves.size(), 0);
+    LeafFileCache cache;
+    vmpi::Bytes response;
+    vmpi::Runtime::run(2, [&](vmpi::Comm& comm) {
+        if (comm.rank() == 0) {
+            const io_detail::RoundSetup setup{comm,  meta,           dir,
+                                              aggregator, pool,     cache,
+                                              kTagTestRequest, kTagTestResponse};
+            const obs::QueryContext ctx = obs::query_begin(comm.rank());
+            obs::QueryScope scope(ctx);
+            io_detail::query_round(setup, nullptr, true, ctx, obs::trace_now_ns(),
+                                   "test.serve", nullptr);
+            return;
+        }
+        io_detail::LeafRequest req;
+        req.seq = 7;
+        req.leaves = leaves;
+        req.query = query;
+        comm.isend(0, kTagTestRequest, io_detail::encode_request(req));
+        response = comm.recv(0, kTagTestResponse);
+        comm.ibarrier().wait();
+    });
+    return response;
+}
+
+/// Two steps of a 4-rank series: step 0 is a keyframe; step 1 nudges only
+/// the particles in a corner box (clamped to it, so bounds and attribute
+/// ranges hold), so its rewritten leaf stores most treelets as references
+/// into step 0's file.
+struct WrittenSeries {
+    testing::TempDir dir;
+    ParticleSet base;
+    std::filesystem::path meta[2];
+
+    WrittenSeries() {
+        base = make_uniform_particles(kDomain, 12'000, 2, 29);
+        const int nranks = 4;
+        const GridDecomp decomp = grid_decomp_3d(nranks, kDomain);
+        WriterConfig config;
+        config.tree.target_file_size = 32 << 10;
+        config.bat.target_treelet_particles = 256;
+        config.directory = dir.path();
+        config.basename = "serve";
+        const Box hot({0.2f, 0.2f, 0.2f}, {0.6f, 0.6f, 0.6f});
+        std::mutex mutex;
+        vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+            const int r = comm.rank();
+            SeriesWriter writer(config);
+            for (int s = 0; s < 2; ++s) {
+                ParticleSet global = base;
+                for (std::size_t i = 0; s == 1 && i < global.count(); ++i) {
+                    const Vec3 p = global.position(i);
+                    if (hot.contains(p)) {
+                        global.set_position(i, {std::min(p.x + 0.01f, hot.upper.x), p.y, p.z});
+                    }
+                }
+                const auto per_rank = partition_particles(global, decomp);
+                const WriteResult result = writer.write_timestep(
+                    comm, s, per_rank[static_cast<std::size_t>(r)], decomp.rank_box(r));
+                std::lock_guard<std::mutex> lock(mutex);
+                meta[s] = result.metadata_path;
+            }
+            writer.finalize(comm);
+        });
+    }
+};
+
+/// Box-only, filter-only, box + filter, half-open and progressive queries.
+std::vector<BatQuery> serve_queries(const ParticleSet& data) {
+    const auto [lo0, hi0] = data.attr_range(0);
+    const auto [lo1, hi1] = data.attr_range(1);
+    const AttrFilter filter0{0, lo0 + 0.2 * (hi0 - lo0), lo0 + 0.7 * (hi0 - lo0)};
+    const AttrFilter filter1{1, lo1 + 0.1 * (hi1 - lo1), lo1 + 0.6 * (hi1 - lo1)};
+    const Box part({0.3f, 0.1f, 0.2f}, {1.4f, 1.7f, 1.3f});
+    std::vector<BatQuery> queries(5);
+    queries[0].box = part;
+    queries[1].attr_filters = {filter0};
+    queries[2].box = part;
+    queries[2].attr_filters = {filter0, filter1};
+    queries[3].box = Box({0.f, 0.f, 0.f}, {1.f, 1.f, 1.f});
+    queries[3].inclusive_upper = false;
+    queries[4].box = part;
+    queries[4].attr_filters = {filter1};
+    queries[4].quality_lo = 0.3f;
+    queries[4].quality_hi = 0.8f;
+    return queries;
+}
+
+TEST(ReadProtocolTest, ServedPartsEqualPointwiseQueries) {
+    // Every served part is the to_bytes() payload of its leaf queried point
+    // by point, and a coalesced response lays the parts out as encode_parts
+    // does — on a keyframe and on a delta-treelet step, serially and pooled.
+    const WrittenSeries series;
+    const std::vector<BatQuery> queries = serve_queries(series.base);
+    ThreadPool pool(2);
+    bool saw_delta = false;
+    for (int s = 0; s < 2; ++s) {
+        const Metadata meta = Metadata::load(series.meta[s]);
+        const std::filesystem::path dir = series.meta[s].parent_path();
+        ASSERT_GE(meta.leaves.size(), 2u);
+        std::vector<std::int32_t> all_leaves;
+        for (std::size_t leaf = 0; leaf < meta.leaves.size(); ++leaf) {
+            all_leaves.push_back(static_cast<std::int32_t>(leaf));
+            const BatFile file(dir / meta.leaves[leaf].file);
+            for (std::size_t t = 0; t < file.num_treelets(); ++t) {
+                saw_delta = saw_delta || file.treelet_is_delta(t);
+            }
+        }
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            SCOPED_TRACE("step " + std::to_string(s) + " query " + std::to_string(q));
+            std::vector<vmpi::Bytes> parts;
+            std::size_t particles = 0;
+            for (const std::int32_t leaf : all_leaves) {
+                const ParticleSet want = pointwise_leaf(meta, dir, leaf, queries[q]);
+                particles += want.count();
+                parts.push_back(want.to_bytes());
+                const vmpi::Bytes single = serve_raw(series.meta[s], {leaf}, queries[q], nullptr);
+                EXPECT_EQ(single, encode_parts(7, {parts.back()})) << "leaf " << leaf;
+            }
+            EXPECT_GT(particles, 0u);
+            EXPECT_EQ(serve_raw(series.meta[s], all_leaves, queries[q], &pool),
+                      encode_parts(7, parts));
+            EXPECT_EQ(serve_raw(series.meta[s], all_leaves, queries[q], nullptr),
+                      encode_parts(7, parts));
+        }
+    }
+    EXPECT_TRUE(saw_delta);
+}
+
+TEST(ReadParallelTest, MixedRemoteLocalReadKeepsOrder) {
+    // A rank's read result is its remote leaves' points in leaf order, then
+    // its local leaves' points in leaf order, each leaf in query emission
+    // order — whether the leaves are served serially or from a pool.
+    const Written w;
+    const Metadata meta = Metadata::load(w.meta_path);
+    const std::filesystem::path dir = w.meta_path.parent_path();
+    const int nranks = 4;
+    const GridDecomp decomp = grid_decomp_3d(nranks, kDomain);
+    const std::vector<int> aggregator =
+        assign_read_aggregators(static_cast<int>(meta.leaves.size()), nranks);
+    std::vector<vmpi::Bytes> want(static_cast<std::size_t>(nranks));
+    int mixed_ranks = 0;
+    for (int r = 0; r < nranks; ++r) {
+        BatQuery query;
+        query.box = decomp.rank_read_box(r);
+        query.inclusive_upper = false;
+        ParticleSet expected(meta.attr_names);
+        bool remote = false;
+        bool local = false;
+        for (const bool local_pass : {false, true}) {
+            for (const int leaf : meta.query_leaves(query.box)) {
+                if ((aggregator[static_cast<std::size_t>(leaf)] == r) != local_pass) {
+                    continue;
+                }
+                (local_pass ? local : remote) = true;
+                expected.append(pointwise_leaf(meta, dir, leaf, query));
+            }
+        }
+        mixed_ranks += remote && local ? 1 : 0;
+        want[static_cast<std::size_t>(r)] = expected.to_bytes();
+    }
+    EXPECT_GT(mixed_ranks, 0);
+    ReaderConfig serial;
+    EXPECT_EQ(read_all(w, nranks, serial), want);
+    ThreadPool pool(2);
+    ReaderConfig pooled;
+    pooled.pool = &pool;
+    EXPECT_EQ(read_all(w, nranks, pooled), want);
+}
+
 // ---- malformed wire messages ------------------------------------------------
 // Counts and lengths come from the peer, so each decoder must reject one
 // the message cannot hold with bat::Error before allocating or slicing.
@@ -340,7 +555,7 @@ TEST(ReadProtocolTest, MergeRejectsPartParticleCountPastItsBytes) {
     vmpi::Bytes part = one.to_bytes();
     const std::uint64_t claimed = std::uint64_t{1} << 40;
     std::memcpy(part.data(), &claimed, sizeof(claimed));  // the leading count
-    const std::vector<vmpi::Bytes> payloads{io_detail::encode_response(0, {&part, 1})};
+    const std::vector<vmpi::Bytes> payloads{encode_parts(0, {part})};
     ParticleSet out({"a", "b"});
     EXPECT_THROW(io_detail::merge_responses(out, payloads), Error);
     EXPECT_EQ(out.count(), 0u);

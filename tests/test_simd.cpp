@@ -333,5 +333,25 @@ TEST(SimdByteIdentity, ForcedScalarBuildSerializesIdentically) {
     }
 }
 
+TEST(SimdByteIdentity, NaNAttributeValuesSerializeIdentically) {
+    // A NaN attribute value falls in the top bitmap bin in every tier, as
+    // bat::bin_of's upper_bound rule puts it there: the build bytes must not
+    // depend on the tier even when the data holds NaNs.
+    Pcg32 rng(41);
+    ParticleSet particles({"v"});
+    for (std::size_t i = 0; i < 4'000; ++i) {
+        const double value = i == 1 ? 0.0 : i == 2 ? 1.0 : 0.45 + 0.1 * rng.next_double();
+        const double attrs[1] = {i % 500 == 7 ? std::nan("") : value};
+        particles.push_back({rng.next_float(), rng.next_float(), rng.next_float()}, attrs);
+    }
+    const auto scalar = build_bytes(particles, BinningScheme::equal_width, simd::Level::scalar);
+    const int top = static_cast<int>(simd::detected_level());
+    for (int l = 1; l <= top; ++l) {
+        const auto level = static_cast<simd::Level>(l);
+        ASSERT_EQ(build_bytes(particles, BinningScheme::equal_width, level), scalar)
+            << "tier " << simd::level_name(level);
+    }
+}
+
 }  // namespace
 }  // namespace bat

@@ -372,12 +372,6 @@ TEST(WriterReaderTest, DeserializeIntoMatchesFromBytes) {
             ASSERT_EQ(merged.attr(a)[src.count() + i], src.attr(a)[i]);
         }
     }
-
-    // append_from_bytes agrees with the old from_bytes + append path.
-    ParticleSet appended(src.attr_names());
-    EXPECT_EQ(appended.append_from_bytes(wire), src.count());
-    const ParticleSet legacy = ParticleSet::from_bytes(wire);
-    EXPECT_EQ(testing::particle_keys(appended), testing::particle_keys(legacy));
 }
 
 TEST(WriterReaderTest, RepeatedWritesProduceIdenticalFiles) {

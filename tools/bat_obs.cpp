@@ -517,7 +517,8 @@ std::string load_query_log(const std::string& path, QueryLog* log) {
     return "";
 }
 
-/// The CI gate: zero orphans, one serve span per remote leaf, p50 <= p99.
+/// The CI gate: zero orphans, one serve span per remote leaf, response
+/// bytes that add up, p50 <= p99.
 bool check_query_log(const QueryLog& log, const std::string& path) {
     // An orphaned serve span means work ran under a query id whose record
     // never landed — attribution is broken.
@@ -532,6 +533,20 @@ bool check_query_log(const QueryLog& log, const std::string& path) {
                          "remote leaves\n", path.c_str(),
                          static_cast<unsigned long long>(q.trace_id), q.spans.size(),
                          q.leaves_remote);
+            return false;
+        }
+        // Each response is a u32 seq and a u32 part count, then one u64
+        // length and the part bytes per leaf; a serve span's bytes are its
+        // part's size.
+        double part_bytes = 0;
+        for (const Query::Span& s : q.spans) {
+            part_bytes += s.bytes;
+        }
+        const double expected = part_bytes + 8 * q.request_msgs + 8 * q.leaves_remote;
+        if (q.bytes_moved != expected) {
+            std::fprintf(stderr, "INVALID: %s: query %llu moved %.0f bytes, its serve spans "
+                         "and headers account for %.0f\n", path.c_str(),
+                         static_cast<unsigned long long>(q.trace_id), q.bytes_moved, expected);
             return false;
         }
     }
