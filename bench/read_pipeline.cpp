@@ -2,15 +2,12 @@
 // particle dataset written at 64 virtual ranks (64 leaf files, so every
 // read aggregator serves several leaves and coalescing has real batches).
 // Reports the slowest rank's per-phase seconds (metadata / request / serve
-// / merge / local) for an 8-rank threaded coalesced read, plus two A/B
-// comparisons the CI gate checks:
+// / merge / local) for an 8-rank threaded read, plus the A/B comparison the
+// CI gate checks:
 //
 //   read.serve_serial vs read.serve_pool — slowest-rank serve-loop seconds
 //     at 2 read ranks (32 leaves per aggregator), serial comm-thread
-//     serving vs the thread-pool fan-out;
-//   read.msgs_per_leaf vs read.msgs_coalesced — total request messages at
-//     8 read ranks (`n` holds the message count), one request per leaf vs
-//     one per (client, aggregator) pair.
+//     serving vs the thread-pool fan-out.
 //
 // `read_pipeline --json [--out FILE]` emits bat-bench-v1 JSON to
 // BENCH_read.json; a plain run prints tables. See docs/PERFORMANCE.md.
@@ -24,7 +21,6 @@
 #include "io/leaf_cache.hpp"
 #include "io/reader.hpp"
 #include "io/writer.hpp"
-#include "obs/metrics.hpp"
 #include "test_output_free.hpp"
 #include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
@@ -38,20 +34,16 @@ namespace {
 struct ReadRun {
     ReadPhaseTimings slowest;  // component-wise max over ranks
     std::uint64_t particles = 0;
-    std::uint64_t request_msgs = 0;  // total coalesced/per-leaf requests sent
 };
 
 ReadRun run_read(const std::filesystem::path& meta_path, const Box& domain, int nranks,
-                 ThreadPool* pool, bool coalesce, LeafFileCache& cache) {
+                 ThreadPool* pool, LeafFileCache& cache) {
     const GridDecomp decomp = grid_decomp_3d(nranks, domain);
     ReadRun run;
     std::mutex mutex;
-    const std::uint64_t msgs_before =
-        obs::MetricsRegistry::global().counter("read.request_msgs").value();
     vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
         ReaderConfig rc;
         rc.pool = pool;
-        rc.coalesce = coalesce;
         rc.cache = &cache;
         const ReadResult result =
             read_particles(comm, meta_path, decomp.rank_read_box(comm.rank()), rc);
@@ -59,18 +51,16 @@ ReadRun run_read(const std::filesystem::path& meta_path, const Box& domain, int 
         run.slowest = ReadPhaseTimings::max(run.slowest, result.timings);
         run.particles += result.particles.count();
     });
-    run.request_msgs =
-        obs::MetricsRegistry::global().counter("read.request_msgs").value() - msgs_before;
     return run;
 }
 
 /// Best (by slowest-rank total) of `runs` collective reads.
 ReadRun best_read(const std::filesystem::path& meta_path, const Box& domain, int nranks,
-                  ThreadPool* pool, bool coalesce, LeafFileCache& cache, int runs) {
+                  ThreadPool* pool, LeafFileCache& cache, int runs) {
     ReadRun best;
     double best_total = 1e30;
     for (int i = 0; i < runs; ++i) {
-        const ReadRun run = run_read(meta_path, domain, nranks, pool, coalesce, cache);
+        const ReadRun run = run_read(meta_path, domain, nranks, pool, cache);
         if (run.slowest.total() < best_total) {
             best_total = run.slowest.total();
             best = run;
@@ -118,8 +108,8 @@ int main(int argc, char** argv) {
     const auto& meta = written.metadata_path;
 
     // Warm the leaf cache and the pool, then the phase breakdown run.
-    run_read(meta, domain, kReadRanks, &pool, true, cache);
-    const ReadRun best = best_read(meta, domain, kReadRanks, &pool, true, cache, kRuns);
+    run_read(meta, domain, kReadRanks, &pool, cache);
+    const ReadRun best = best_read(meta, domain, kReadRanks, &pool, cache, kRuns);
 
     // A/B: serial vs pooled serving at 2 ranks (32 leaves per aggregator).
     // The runs are interleaved so slow drift of the host (page cache,
@@ -130,22 +120,18 @@ int main(int argc, char** argv) {
     double best_serial = 1e30;
     double best_pool = 1e30;
     for (int i = 0; i < kRuns; ++i) {
-        const ReadRun s = run_read(meta, domain, 2, nullptr, true, cache);
+        const ReadRun s = run_read(meta, domain, 2, nullptr, cache);
         if (s.slowest.serve < best_serial) {
             best_serial = s.slowest.serve;
             serve_serial = s;
         }
-        const ReadRun p = run_read(meta, domain, 2, &pool, true, cache);
+        const ReadRun p = run_read(meta, domain, 2, &pool, cache);
         if (p.slowest.serve < best_pool) {
             best_pool = p.slowest.serve;
             serve_pool = p;
         }
     }
 
-    // A/B: request messages, per-leaf vs coalesced (counts are
-    // deterministic, so a single timed run each suffices).
-    const ReadRun per_leaf = run_read(meta, domain, kReadRanks, &pool, false, cache);
-    const ReadRun coalesced = run_read(meta, domain, kReadRanks, &pool, true, cache);
 
     const ReadPhaseTimings& t = best.slowest;
     const std::vector<std::pair<const char*, double>> phases = {
@@ -175,13 +161,6 @@ int main(int argc, char** argv) {
             1e9 * serve_pool.slowest.serve / static_cast<double>(kParticles), "ns/op",
             serve_pool.slowest.serve > 0 ? payload / serve_pool.slowest.serve : 0.0,
             threads});
-        // `n` is the message count, which is what the gate compares; these
-        // rows measure no per-op latency, so ns_op is 0 and the unit says so.
-        writer.add(bench::JsonBenchResult{"read.msgs_per_leaf", per_leaf.request_msgs,
-                                          0.0, "msgs", 0.0, threads});
-        writer.add(bench::JsonBenchResult{"read.msgs_coalesced",
-                                          coalesced.request_msgs, 0.0, "msgs", 0.0,
-                                          threads});
         writer.write(out);
     } else {
         bench::Table table({"phase", "seconds", "ns/particle"});
@@ -195,9 +174,6 @@ int main(int argc, char** argv) {
                     serve_pool.slowest.serve > 0
                         ? serve_serial.slowest.serve / serve_pool.slowest.serve
                         : 0.0);
-        std::printf("request msgs at %d ranks: per-leaf %llu, coalesced %llu\n",
-                    kReadRanks, static_cast<unsigned long long>(per_leaf.request_msgs),
-                    static_cast<unsigned long long>(coalesced.request_msgs));
     }
 
     std::filesystem::remove_all(dir);

@@ -45,8 +45,8 @@ ParticleSet DataService::query_round(const std::optional<BatQuery>& query) {
     const io_detail::RoundSetup setup{comm_, meta_, dir_, leaf_aggregator_, pool_,
                                       *cache_, kTagServiceRequest, kTagServiceResponse};
     io_detail::RoundResult round =
-        io_detail::query_round(setup, query ? &*query : nullptr, /*coalesce=*/true, qctx,
-                               round_start_ns, "service.query_round", /*phases=*/nullptr);
+        io_detail::query_round(setup, query ? &*query : nullptr, qctx, round_start_ns,
+                               "service.query_round", /*phases=*/nullptr);
     const std::uint64_t round_end_ns = obs::trace_now_ns();
 
     const std::uint64_t particles = round.particles.count();

@@ -106,7 +106,7 @@ ResponseView decode_response(std::span<const std::byte> bytes) {
     return view;
 }
 
-std::uint32_t peek_response_seq(std::span<const std::byte> bytes) {
+std::uint32_t peek_seq(std::span<const std::byte> bytes) {
     BufferReader r(bytes);
     return r.read<std::uint32_t>();
 }
@@ -226,7 +226,7 @@ void LeafPlan::write_columns(std::byte* xyz, std::span<std::byte* const> attrs) 
 }
 
 std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads,
-                            std::size_t tail) {
+                            std::span<const std::size_t> leaves, std::size_t tail) {
     if (sched::maybe_active()) {
         // The merged result buffer is rank-local by design; the annotation
         // catches any future schedule where two threads merge into one set.
@@ -236,8 +236,13 @@ std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> paylo
     views.reserve(payloads.size());
     const std::size_t particle_bytes = 3 * sizeof(float) + out.num_attrs() * sizeof(double);
     std::uint64_t total = 0;
-    for (const vmpi::Bytes& payload : payloads) {
-        views.push_back(decode_response(payload));
+    BAT_CHECK(leaves.size() == payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        views.push_back(decode_response(payloads[i]));
+        // A missing part would silently drop that leaf's particles.
+        BAT_CHECK_MSG(views.back().parts.size() == leaves[i],
+                      "response carries " << views.back().parts.size() << " parts for a "
+                                          << leaves[i] << "-leaf request");
         for (const std::span<const std::byte> part : views.back().parts) {
             if (part.empty()) {
                 continue;
@@ -277,7 +282,18 @@ LeafServer::LeafServer(vmpi::Comm& comm, int request_tag, int response_tag,
 }
 
 void LeafServer::start_job(int src, const vmpi::Bytes& payload) {
-    LeafRequest req = decode_request(payload);
+    LeafRequest req;
+    try {
+        req = decode_request(payload);
+    } catch (...) {
+        // Answered with no parts, echoing the seq when there is one, so the
+        // sender is not left waiting; finish() rethrows the error.
+        note_error();
+        req = LeafRequest{};
+        if (payload.size() >= sizeof(std::uint32_t)) {
+            req.seq = peek_seq(payload);
+        }
+    }
     auto job = std::make_unique<Job>();
     job->src = src;
     job->seq = req.seq;
@@ -478,7 +494,7 @@ void LeafServer::finish() {
     }
 }
 
-RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coalesce,
+RoundResult query_round(const RoundSetup& setup, const BatQuery* query,
                         const obs::QueryContext& ctx, std::uint64_t start_ns,
                         const char* op, ReadPhaseTimings* phases) {
     vmpi::Comm& comm = setup.comm;
@@ -500,9 +516,9 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
     // ---- find matching leaves; send the requests ----------------------------
     next_stage("read.request", &ReadPhaseTimings::request);
     std::vector<int> local_leaves;  // leaves this rank serves to itself
-    // One request per aggregator, or one per leaf when coalescing is off.
-    // Each aggregator holds a contiguous block of leaves (§IV-A), so it is
-    // one run of the ascending leaf list and requests follow leaf order.
+    // One request per aggregator. Each aggregator holds a contiguous block
+    // of leaves (§IV-A), so it is one run of the ascending leaf list and
+    // requests follow leaf order.
     std::vector<std::pair<int, std::vector<std::int32_t>>> requests;
     std::uint32_t leaves_remote = 0;
     if (query != nullptr) {
@@ -513,13 +529,15 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
                 continue;
             }
             ++leaves_remote;
-            if (!coalesce || requests.empty() || requests.back().first != aggregator) {
+            if (requests.empty() || requests.back().first != aggregator) {
                 requests.emplace_back(aggregator, std::vector<std::int32_t>{});
             }
             requests.back().second.push_back(leaf);
         }
     }
+    std::vector<std::size_t> request_leaves(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
+        request_leaves[i] = requests[i].second.size();
         LeafRequest req;
         req.seq = static_cast<std::uint32_t>(i);
         req.leaves = std::move(requests[i].second);
@@ -539,20 +557,25 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
     };
     LeafServer server(comm, setup.request_tag, setup.response_tag, setup.pool,
                       meta.attr_names, open_leaf);
-    // The local leaves are planned where the loop would otherwise yield. A
-    // failure is held until the barrier is through: leaving the loop early
-    // would strand the other ranks in it.
+    // A failure in the loop is held until the barrier is through: leaving
+    // the loop early would strand the other ranks in it.
+    std::exception_ptr error;
+    const auto hold_error = [&error] {
+        if (!error) {
+            error = std::current_exception();
+        }
+    };
+    // The local leaves are planned where the loop would otherwise yield.
     std::vector<LeafPlan> local_plans;
     local_plans.reserve(local_leaves.size());
-    std::exception_ptr local_error;
     const auto plan_local = [&] {
-        if (local_error || local_plans.size() == local_leaves.size()) {
+        if (error || local_plans.size() == local_leaves.size()) {
             return false;
         }
         try {
             local_plans.emplace_back(open_leaf(local_leaves[local_plans.size()]), *query);
         } catch (...) {
-            local_error = std::current_exception();
+            hold_error();
         }
         return true;
     };
@@ -570,10 +593,16 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
         if (pending > 0 && comm.iprobe(vmpi::kAnySource, setup.response_tag, &src)) {
             progressed = true;
             vmpi::Bytes payload = comm.recv(src, setup.response_tag);
-            const std::uint32_t seq = peek_response_seq(payload);
-            BAT_CHECK_MSG(seq < responses.size() && responses[seq].empty(),
-                          "unexpected response seq " << seq);
-            responses[seq] = std::move(payload);
+            // Every arrival counts against `pending`, even one that cannot
+            // be slotted, so this rank still reaches the barrier.
+            try {
+                const std::uint32_t seq = peek_seq(payload);
+                BAT_CHECK_MSG(seq < responses.size() && responses[seq].empty(),
+                              "unexpected response seq " << seq);
+                responses[seq] = std::move(payload);
+            } catch (...) {
+                hold_error();
+            }
             if (--pending == 0) {
                 barrier = comm.ibarrier();
             }
@@ -588,8 +617,8 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
     while (plan_local()) {
     }
     server.finish();
-    if (local_error) {
-        std::rethrow_exception(local_error);
+    if (error) {
+        std::rethrow_exception(error);
     }
     const std::uint64_t serve_done_ns = next_stage("read.merge", &ReadPhaseTimings::merge);
 
@@ -599,7 +628,7 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coa
     for (const LeafPlan& plan : local_plans) {
         local_count += plan.count();
     }
-    std::size_t at = merge_responses(result.particles, responses, local_count);
+    std::size_t at = merge_responses(result.particles, responses, request_leaves, local_count);
     const std::uint64_t merge_done_ns = next_stage("read.local", &ReadPhaseTimings::local);
     for (const LeafPlan& plan : local_plans) {
         plan.write_into(result.particles, at);

@@ -59,17 +59,19 @@ LeafRequest decode_request(std::span<const std::byte> bytes);
 
 /// A response is a u32 seq, a u32 part count, one u64 length per part and
 /// then the parts back to back; parts[i] is the serialized ParticleSet
-/// payload for the request's i-th leaf. An empty part means the server
-/// failed on that leaf (the error is rethrown server-side; clients skip
-/// empty parts).
+/// payload for the request's i-th leaf, so a response has one part per
+/// requested leaf. An empty part means the server failed on that leaf, and
+/// a request the server cannot decode gets a response with no parts (either
+/// error is rethrown server-side; clients skip empty parts).
 struct ResponseView {
     std::uint32_t seq = 0;
     std::vector<std::span<const std::byte>> parts;  // views into the payload
 };
 ResponseView decode_response(std::span<const std::byte> bytes);
 
-/// The seq of a response payload without decoding the parts.
-std::uint32_t peek_response_seq(std::span<const std::byte> bytes);
+/// The seq that leads a request or response payload, without decoding the
+/// rest.
+std::uint32_t peek_seq(std::span<const std::byte> bytes);
 
 /// One leaf query, planned: query_bat runs once through a recording sink
 /// that keeps each emitted window — its treelet's columns plus the
@@ -115,16 +117,20 @@ private:
 };
 
 /// Merge response payloads into `out` in the given order with one resize
-/// and ParticleSet::deserialize_into per part — no intermediate sets. The
-/// resize also makes room for `tail` more particles after the merged ones
-/// (the round's local leaves); returns the slot where that room starts.
+/// and ParticleSet::deserialize_into per part — no intermediate sets.
+/// payloads[i] answers a request for leaves[i] leaves and must carry that
+/// many parts. The resize also makes room for `tail` more particles after
+/// the merged ones (the round's local leaves); returns the slot where that
+/// room starts.
 std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads,
-                            std::size_t tail = 0);
+                            std::span<const std::size_t> leaves, std::size_t tail = 0);
 
 /// Serves coalesced leaf requests arriving on `request_tag`, answering on
 /// `response_tag`. Each progress() call drains every iprobe-able request
 /// and fans its leaf plans to `pool` (nullptr or zero workers = inline, the
-/// serial path). Once a request's plans are in, the comm thread sizes its
+/// serial path). A request that cannot be decoded is answered with no parts
+/// and its error held for finish(), so its sender still reaches the
+/// round's barrier. Once a request's plans are in, the comm thread sizes its
 /// response exactly and fans out the part writes; a response whose last
 /// part is written is isent. Responses leave in per-destination request
 /// order only as a side effect of job scan order; correctness rests on seq
@@ -157,7 +163,7 @@ public:
     bool idle() const { return jobs_.empty(); }
 
     /// Wait out remaining worker tasks, send the last responses, and
-    /// rethrow the first leaf error, if any. Call after the round barrier
+    /// rethrow the first request or leaf error, if any. Call after the round barrier
     /// completes (at which point no new request can arrive).
     void finish();
 
@@ -236,16 +242,18 @@ struct RoundResult {
 
 /// Collective: one client–server query round (paper §IV-B). `query` selects
 /// leaves through the metadata (nullptr = this rank asks for nothing);
-/// remote leaves are requested with one message per aggregator, or one per
-/// leaf when `!coalesce`. The rank serves the other ranks' requests until a
-/// nonblocking barrier confirms every rank has its responses, planning its
-/// own leaves in the loop's idle spins. It then sizes the result once,
+/// remote leaves are requested with one message per aggregator. The rank
+/// serves the other ranks' requests until a nonblocking barrier confirms
+/// every rank has its responses, planning its own leaves in the loop's idle
+/// spins. A failure in the loop — a malformed message, a leaf that cannot
+/// be read — is held until the barrier completes and then rethrown, so the
+/// other ranks still leave the round. It then sizes the result once,
 /// merges its responses in request order and writes its own leaves after
 /// them, so results are byte-identical whatever the arrival order or pool.
 /// The round ends by writing the query record for `ctx` (op `op`, wall
 /// from `start_ns`). With `phases`, the stages open the read.request /
 /// read.serve / read.merge / read.local phase spans into it.
-RoundResult query_round(const RoundSetup& setup, const BatQuery* query, bool coalesce,
+RoundResult query_round(const RoundSetup& setup, const BatQuery* query,
                         const obs::QueryContext& ctx, std::uint64_t start_ns,
                         const char* op, ReadPhaseTimings* phases);
 

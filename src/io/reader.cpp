@@ -87,8 +87,8 @@ ReadResult read_particles(vmpi::Comm& comm, const std::filesystem::path& metadat
     const io_detail::RoundSetup setup{comm, meta, dir, leaf_aggregator, config.pool,
                                       cache, kTagReadRequest, kTagReadResponse};
     io_detail::RoundResult round =
-        io_detail::query_round(setup, &query, config.coalesce, qctx, q_start_ns,
-                               "read.read_particles", &result.timings);
+        io_detail::query_round(setup, &query, qctx, q_start_ns, "read.read_particles",
+                               &result.timings);
     result.particles = std::move(round.particles);
     result.bytes_read = round.bytes_read;
 

@@ -33,14 +33,10 @@ class LeafFileCache;
 class ThreadPool;
 
 struct ReaderConfig {
-    /// Pool that leaf queries are fanned out to while serving (and that the
-    /// local self-queries bulk-append through). nullptr = serve serially on
-    /// the comm thread; results are byte-identical either way.
+    /// Pool that served leaves are planned and written on while the comm
+    /// thread keeps the round moving. nullptr = serve serially on the comm
+    /// thread; results are byte-identical either way.
     ThreadPool* pool = nullptr;
-    /// Batch all leaves requested from one aggregator into a single
-    /// request/response pair. Per-leaf mode (false) exists for benchmarks
-    /// and A/B comparisons only.
-    bool coalesce = true;
     /// Leaf-file cache reused across collective reads; nullptr = the
     /// process-global LeafFileCache.
     LeafFileCache* cache = nullptr;

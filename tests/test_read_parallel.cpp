@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <mutex>
+#include <set>
 
 #include "io/data_service.hpp"
 #include "io/leaf_cache.hpp"
@@ -95,34 +97,39 @@ TEST(ReadParallelTest, ThreadedServingByteIdenticalToSerial) {
     }
 }
 
-TEST(ReadParallelTest, PerLeafModeAgreesAndCoalescingCutsMessages) {
+TEST(ReadParallelTest, OneRequestPerClientAggregatorPair) {
+    // Coalescing, exactly: each rank sends one request per distinct remote
+    // aggregator among the leaves its box overlaps, and the pooled read
+    // equals the serial one byte for byte.
     const Written w;
+    const Metadata meta = Metadata::load(w.meta_path);
+    const int read_ranks = 8;
+    const GridDecomp decomp = grid_decomp_3d(read_ranks, kDomain);
+    const std::vector<int> aggregator =
+        assign_read_aggregators(static_cast<int>(meta.leaves.size()), read_ranks);
+    std::uint64_t want_msgs = 0;
+    std::uint64_t remote_leaves = 0;
+    for (int r = 0; r < read_ranks; ++r) {
+        std::set<int> servers;
+        for (const int leaf : meta.query_leaves(decomp.rank_read_box(r))) {
+            const int server = aggregator[static_cast<std::size_t>(leaf)];
+            if (server != r) {
+                servers.insert(server);
+                ++remote_leaves;
+            }
+        }
+        want_msgs += servers.size();
+    }
+    EXPECT_LT(want_msgs, remote_leaves);  // there is something to coalesce
+
     auto& metrics = obs::MetricsRegistry::global();
     ThreadPool pool(2);
-    const int read_ranks = 8;
-
-    ReaderConfig per_leaf;
-    per_leaf.pool = &pool;
-    per_leaf.coalesce = false;
-    const std::uint64_t before_per_leaf = metrics.counter("read.request_msgs").value();
-    const auto per_leaf_bytes = read_all(w, read_ranks, per_leaf);
-    const std::uint64_t per_leaf_msgs =
-        metrics.counter("read.request_msgs").value() - before_per_leaf;
-
-    ReaderConfig coalesced;
-    coalesced.pool = &pool;
-    const std::uint64_t before_coalesced = metrics.counter("read.request_msgs").value();
-    const auto coalesced_bytes = read_all(w, read_ranks, coalesced);
-    const std::uint64_t coalesced_msgs =
-        metrics.counter("read.request_msgs").value() - before_coalesced;
-
-    EXPECT_EQ(coalesced_bytes, per_leaf_bytes);
-    // Coalesced traffic is bounded by the aggregator count per client;
-    // per-leaf traffic scales with overlapped leaves (many, given the tiny
-    // target file size).
-    EXPECT_LE(coalesced_msgs,
-              static_cast<std::uint64_t>(read_ranks) * (read_ranks - 1));
-    EXPECT_LT(coalesced_msgs, per_leaf_msgs);
+    ReaderConfig pooled;
+    pooled.pool = &pool;
+    const std::uint64_t before = metrics.counter("read.request_msgs").value();
+    const auto pooled_bytes = read_all(w, read_ranks, pooled);
+    EXPECT_EQ(metrics.counter("read.request_msgs").value() - before, want_msgs);
+    EXPECT_EQ(pooled_bytes, read_all(w, read_ranks, ReaderConfig{}));
 }
 
 TEST(ReadParallelTest, EveryRankServesAndRequestsValidatorClean) {
@@ -335,8 +342,8 @@ vmpi::Bytes serve_raw(const std::filesystem::path& meta_path,
                                               kTagTestRequest, kTagTestResponse};
             const obs::QueryContext ctx = obs::query_begin(comm.rank());
             obs::QueryScope scope(ctx);
-            io_detail::query_round(setup, nullptr, true, ctx, obs::trace_now_ns(),
-                                   "test.serve", nullptr);
+            io_detail::query_round(setup, nullptr, ctx, obs::trace_now_ns(), "test.serve",
+                                   nullptr);
             return;
         }
         io_detail::LeafRequest req;
@@ -556,9 +563,92 @@ TEST(ReadProtocolTest, MergeRejectsPartParticleCountPastItsBytes) {
     const std::uint64_t claimed = std::uint64_t{1} << 40;
     std::memcpy(part.data(), &claimed, sizeof(claimed));  // the leading count
     const std::vector<vmpi::Bytes> payloads{encode_parts(0, {part})};
+    const std::vector<std::size_t> leaves{1};
     ParticleSet out({"a", "b"});
-    EXPECT_THROW(io_detail::merge_responses(out, payloads), Error);
+    EXPECT_THROW(io_detail::merge_responses(out, payloads, leaves), Error);
     EXPECT_EQ(out.count(), 0u);
+}
+
+/// One query round over `w`'s leaves, all served by `server`, at `nranks`
+/// ranks: each rank but `client` runs the round (ranks in `askers` query
+/// the whole data set, the others ask for nothing), while `client(comm)`
+/// plays a hand-made peer that must join the round's barrier itself. Counts
+/// the round's bat::Errors and the particles it returned.
+struct RoundOutcome {
+    std::atomic<int> errors{0};
+    std::atomic<std::uint64_t> particles{0};
+};
+void run_round_with_peer(const Written& w, int nranks, int server, ThreadPool* pool,
+                         const std::set<int>& askers, int client,
+                         const std::function<void(vmpi::Comm&)>& peer, RoundOutcome* out) {
+    const Metadata meta = Metadata::load(w.meta_path);
+    const std::filesystem::path dir = w.meta_path.parent_path();
+    const std::vector<int> aggregator(meta.leaves.size(), server);
+    LeafFileCache cache;
+    vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+        if (comm.rank() == client) {
+            peer(comm);
+            return;
+        }
+        const io_detail::RoundSetup setup{comm,  meta,           dir,
+                                          aggregator, pool,     cache,
+                                          kTagTestRequest, kTagTestResponse};
+        const BatQuery everything;
+        const obs::QueryContext ctx = obs::query_begin(comm.rank());
+        obs::QueryScope scope(ctx);
+        try {
+            const io_detail::RoundResult round =
+                io_detail::query_round(setup, askers.count(comm.rank()) ? &everything : nullptr,
+                                       ctx, obs::trace_now_ns(), "test.round", nullptr);
+            out->particles.fetch_add(round.particles.count());
+        } catch (const Error&) {
+            out->errors.fetch_add(1);
+        }
+    });
+}
+
+TEST(ReadProtocolTest, GarbledRequestFailsItsServerAfterTheRound) {
+    // A request its server cannot decode must not strand the round: the
+    // sender gets a part-less answer echoing its seq, every rank leaves the
+    // round (rank 2's own query is served in full), and the serving rank
+    // raises bat::Error once the barrier is through.
+    const Written w;
+    ThreadPool pool(2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        vmpi::Bytes answer;
+        RoundOutcome outcome;
+        run_round_with_peer(w, 3, /*server=*/0, p, /*askers=*/{2}, /*client=*/1,
+                            [&answer](vmpi::Comm& comm) {
+                                BufferWriter garbled;
+                                garbled.write(std::uint32_t{7});  // seq
+                                garbled.write(std::uint8_t{1});   // then too short
+                                comm.isend(0, kTagTestRequest, garbled.take());
+                                answer = comm.recv(0, kTagTestResponse);
+                                comm.ibarrier().wait();
+                            },
+                            &outcome);
+        EXPECT_EQ(outcome.errors.load(), 1) << "pool=" << (p != nullptr);
+        EXPECT_EQ(outcome.particles.load(), w.global.count());
+        EXPECT_EQ(answer, encode_parts(7, {}));
+    }
+}
+
+TEST(ReadProtocolTest, ResponseMissingPartsIsRejected) {
+    // A response with fewer parts than its request has leaves would drop
+    // those leaves' particles without a word; the client must raise instead.
+    const Written w;
+    RoundOutcome outcome;
+    run_round_with_peer(w, 2, /*server=*/1, nullptr, /*askers=*/{0}, /*client=*/1,
+                        [](vmpi::Comm& comm) {
+                            const io_detail::LeafRequest req =
+                                io_detail::decode_request(comm.recv(0, kTagTestRequest));
+                            EXPECT_GT(req.leaves.size(), 1u);
+                            comm.isend(0, kTagTestResponse, encode_parts(req.seq, {}));
+                            comm.ibarrier().wait();
+                        },
+                        &outcome);
+    EXPECT_EQ(outcome.errors.load(), 1);
+    EXPECT_EQ(outcome.particles.load(), 0u);
 }
 
 }  // namespace

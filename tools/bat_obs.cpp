@@ -766,6 +766,109 @@ int cmd_prof(const Args& a) {
 
 // ---- validate -------------------------------------------------------------------
 
+/// A bat-report-v1 run report: the run / phases / messages sections are
+/// well formed, at least one write.* or read.* phase ran, every phase has
+/// min <= mean <= max, and every histogram reporting percentiles has
+/// min <= p50 <= p90 <= p99 <= max (the estimator clamps to the observed
+/// range, so a violation means broken accounting, not estimation error).
+/// Returns "" or the first problem.
+std::string check_report(const Value& doc, std::string* summary) {
+    const auto number = [](const Value* obj, const char* key) -> const Value* {
+        const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+        return v != nullptr && v->is_number() ? v : nullptr;
+    };
+    const Value* run = doc.find("run");
+    if (run == nullptr || !run->is_object()) {
+        return "report missing \"run\" object";
+    }
+    const Value* wall = number(run, "wall_seconds");
+    if (wall == nullptr || wall->number() <= 0) {
+        return "report \"run.wall_seconds\" missing or not positive";
+    }
+    const Value* ranks = number(run, "ranks");
+    if (ranks == nullptr || ranks->number() < 1) {
+        return "report \"run.ranks\" missing or < 1";
+    }
+    const Value* phases = doc.find("phases");
+    if (phases == nullptr || !phases->is_object()) {
+        return "report missing \"phases\" object";
+    }
+    int io_phases = 0;
+    for (const auto& [name, phase] : phases->object()) {
+        if (!phase.is_object()) {
+            return "phase \"" + name + "\" is not an object";
+        }
+        const Value* calls = number(&phase, "calls");
+        const Value* min_s = number(&phase, "min_s");
+        const Value* mean_s = number(&phase, "mean_s");
+        const Value* max_s = number(&phase, "max_s");
+        if (calls == nullptr || calls->number() < 1) {
+            return "phase \"" + name + "\" missing \"calls\" >= 1";
+        }
+        if (min_s == nullptr || mean_s == nullptr || max_s == nullptr) {
+            return "phase \"" + name + "\" missing min_s/mean_s/max_s";
+        }
+        if (!(min_s->number() <= mean_s->number() && mean_s->number() <= max_s->number())) {
+            return "phase \"" + name + "\" violates min <= mean <= max";
+        }
+        if (name.rfind("write.", 0) == 0 || name.rfind("read.", 0) == 0) {
+            ++io_phases;
+        }
+    }
+    if (io_phases == 0) {
+        return "report has no write.* or read.* phase — the traced pipeline did not run";
+    }
+    const Value* messages = doc.find("messages");
+    if (messages == nullptr || !messages->is_object()) {
+        return "report missing \"messages\" object";
+    }
+    for (const char* key : {"sends", "recvs", "send_bytes", "recv_bytes"}) {
+        const Value* v = number(messages, key);
+        if (v == nullptr || v->number() < 0) {
+            return std::string("report \"messages.") + key + "\" missing";
+        }
+    }
+    int percentiled = 0;
+    if (const Value* histograms = doc.find("histograms");
+        histograms != nullptr && histograms->is_object()) {
+        for (const auto& [name, h] : histograms->object()) {
+            if (!h.is_object()) {
+                return "histogram \"" + name + "\" is not an object";
+            }
+            if (h.find("p50") == nullptr && h.find("p90") == nullptr &&
+                h.find("p99") == nullptr) {
+                continue;  // pre-percentile report
+            }
+            const Value* p50 = number(&h, "p50");
+            const Value* p90 = number(&h, "p90");
+            const Value* p99 = number(&h, "p99");
+            if (p50 == nullptr || p90 == nullptr || p99 == nullptr) {
+                return "histogram \"" + name + "\" has partial percentiles";
+            }
+            const Value* count = number(&h, "count");
+            if (count == nullptr || count->number() < 1) {
+                continue;  // empty histogram: percentiles are all 0
+            }
+            const Value* min = number(&h, "min");
+            const Value* max = number(&h, "max");
+            if (min == nullptr || max == nullptr) {
+                return "histogram \"" + name + "\" missing min/max";
+            }
+            if (!(min->number() <= p50->number() && p50->number() <= p90->number() &&
+                  p90->number() <= p99->number() && p99->number() <= max->number())) {
+                return "histogram \"" + name + "\" violates min <= p50 <= p90 <= p99 <= max";
+            }
+            ++percentiled;
+        }
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  " (%zu phases, %d io, %d histograms with percentiles, %.3f s wall)",
+                  phases->object().size(), io_phases, percentiled, wall->number());
+    *summary = buf;
+    return "";
+}
+
 /// Every check that applies to one document; the kind comes from its name
 /// or schema.
 bool validate_document(const fs::path& path, const Args& a) {
@@ -786,6 +889,14 @@ bool validate_document(const fs::path& path, const Args& a) {
     if (schema == "bat-prof-v1" && a.has("--min-attributed")) {
         return check_attribution(doc, a.num("--min-attributed", 0));
     }
+    std::string summary;
+    if (schema == "bat-report-v1") {
+        const std::string err = check_report(doc, &summary);
+        if (!err.empty()) {
+            std::fprintf(stderr, "INVALID: %s: %s\n", p.c_str(), err.c_str());
+            return false;
+        }
+    }
     const bool known = schema == "bat-obs-v1" || schema == "bat-report-v1" ||
                        schema == "bat-prof-v1" || schema == "bat-flight-v1" ||
                        (schema.empty() && doc.find("counters") != nullptr);
@@ -794,7 +905,8 @@ bool validate_document(const fs::path& path, const Args& a) {
                      schema.c_str());
         return false;
     }
-    std::printf("OK: %s: %s\n", p.c_str(), schema.empty() ? "metrics" : schema.c_str());
+    std::printf("OK: %s: %s%s\n", p.c_str(), schema.empty() ? "metrics" : schema.c_str(),
+                summary.c_str());
     return true;
 }
 
