@@ -137,7 +137,9 @@ inline std::string fmt_mb(std::uint64_t bytes) {
 // throughput (0 when a kernel has no natural byte volume). `unit` names
 // what ns_op measures; rows reporting a count rather than a rate (e.g.
 // message tallies) say so ("msgs") and carry ns_op = 0, and tools/bench_check
-// only requires a positive ns_op on "ns/op" rows.
+// only requires a positive ns_op on "ns/op" rows. A value that can be 0
+// (a share, or the series clean-treelet count) rides in ns_op over its
+// population in n, since n must be positive.
 
 struct JsonBenchResult {
     std::string name;

@@ -283,11 +283,20 @@ void add_rows(bench::JsonBenchWriter* writer, const char* tag, const SeriesSumma
               "bytes");
     total_row("write_total_full", s.total_full_s, s.steady_bytes_full);
     total_row("write_total_delta", s.total_delta_s, s.steady_bytes_delta);
-    count_row("treelets_clean", s.treelets_clean, "treelets");
-    count_row("treelets_written", s.treelets_written, "treelets");
+    // Treelet rows: `n` is every treelet judged, the value rides in ns_op,
+    // so a run with zero clean treelets still reads as a valid row (the
+    // schema wants n > 0) and fails the clean-treelet gate by name.
     const std::uint64_t judged = s.treelets_clean + s.treelets_written;
-    count_row("delta_hit_pct",
-              judged > 0 ? (100 * s.treelets_clean + judged / 2) / judged : 0, "pct");
+    auto treelet_row = [&](const char* name, double value, const char* unit) {
+        writer->add(bench::JsonBenchResult{prefix + name, judged, value, unit, 0.0, threads});
+    };
+    treelet_row("treelets_clean", static_cast<double>(s.treelets_clean), "treelets");
+    treelet_row("treelets_written", static_cast<double>(s.treelets_written), "treelets");
+    treelet_row("delta_hit_pct",
+                judged > 0 ? 100.0 * static_cast<double>(s.treelets_clean) /
+                                 static_cast<double>(judged)
+                           : 0.0,
+                "pct");
 }
 
 void print_summary(const char* tag, const SeriesSummary& s) {

@@ -42,23 +42,43 @@ private:
     std::unordered_map<std::uint32_t, std::uint16_t> ids_;
 };
 
+constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t alignment) {
+    return (v + alignment - 1) & ~(alignment - 1);
+}
+
+/// Whether `delta` stores any treelet by reference; such a spec must cover
+/// every treelet.
+bool has_delta_refs(const BatData& bat, const BatDeltaSpec* delta) {
+    if (delta == nullptr || delta->refs.empty()) {
+        return false;
+    }
+    BAT_CHECK_MSG(delta->refs.size() == bat.treelets.size(),
+                  "delta spec must cover every treelet");
+    return true;
+}
+
 Box box_from(const float b[6]) {
     return Box({b[0], b[1], b[2]}, {b[3], b[4], b[5]});
 }
 
 }  // namespace
 
-std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* delta) {
+TreeletLayout treelet_layout(std::uint64_t num_nodes, std::uint64_t num_points,
+                             std::uint64_t num_attrs) {
+    TreeletLayout l;
+    l.nodes = 16;  // u32 magic, node count, point count, reserved
+    l.bitmap_ids = l.nodes + num_nodes * sizeof(TreeletNode);
+    l.positions = align_up(l.bitmap_ids + num_nodes * num_attrs * sizeof(std::uint16_t), 4);
+    l.attrs = align_up(l.positions + 3 * sizeof(float) * num_points, 8);
+    l.end = l.attrs + sizeof(double) * num_points * num_attrs;
+    return l;
+}
+
+BatLayout layout_bat(const BatData& bat, const BatDeltaSpec* delta, std::uint32_t dict_size) {
     const std::size_t nattrs = bat.num_attrs();
-    const bool has_refs = delta != nullptr && !delta->refs.empty();
-    if (has_refs) {
-        BAT_CHECK_MSG(delta->refs.size() == bat.treelets.size(),
-                      "delta spec must cover every treelet");
-    }
-    auto ref_of = [&](std::size_t t) {
-        return has_refs ? delta->refs[t] : DeltaRef{};
-    };
-    FileHeader header;
+    const bool has_refs = has_delta_refs(bat, delta);
+    BatLayout layout;
+    FileHeader& header = layout.header;
     if (delta != nullptr && !delta->base_files.empty()) {
         header.flags |= kBatFlagHasBases;
     }
@@ -68,6 +88,7 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
     header.lod_per_inner = static_cast<std::uint32_t>(bat.config.lod_per_inner);
     header.max_leaf_size = static_cast<std::uint32_t>(bat.config.max_leaf_size);
     header.num_shallow_nodes = static_cast<std::uint32_t>(bat.shallow_nodes.size());
+    header.dict_size = dict_size;
     header.num_treelets = static_cast<std::uint32_t>(bat.treelets.size());
     header.bounds[0] = bat.bounds.lower.x;
     header.bounds[1] = bat.bounds.lower.y;
@@ -75,6 +96,51 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
     header.bounds[3] = bat.bounds.upper.x;
     header.bounds[4] = bat.bounds.upper.y;
     header.bounds[5] = bat.bounds.upper.z;
+
+    // Attribute table: length-prefixed name, range, v2 bin edges.
+    std::uint64_t pos = sizeof(FileHeader);
+    for (std::size_t a = 0; a < nattrs; ++a) {
+        BAT_CHECK(bat.attr_edges[a].size() == kBitmapBins + 1);
+        pos += 4 + bat.particles.attr_names()[a].size() + 2 * sizeof(double) +
+               (kBitmapBins + 1) * sizeof(double);
+    }
+    if (header.flags & kBatFlagHasBases) {
+        pos += 4;
+        for (const std::string& name : delta->base_files) {
+            pos += 4 + name.size();
+        }
+    }
+    header.shallow_nodes_offset = align_up(pos, 8);
+    header.shallow_bitmap_ids_offset =
+        header.shallow_nodes_offset + bat.shallow_nodes.size() * sizeof(ShallowNode);
+    header.dict_offset = align_up(
+        header.shallow_bitmap_ids_offset + bat.shallow_bitmaps.size() * sizeof(std::uint16_t),
+        4);
+    header.treelet_dir_offset =
+        align_up(header.dict_offset + std::uint64_t{dict_size} * sizeof(std::uint32_t), 8);
+
+    pos = header.treelet_dir_offset + bat.treelets.size() * sizeof(TreeletDirEntry);
+    layout.treelet_offsets.assign(bat.treelets.size(), 0);
+    for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
+        if (has_refs && delta->refs[t].base_file >= 0) {
+            continue;  // payload lives in the base file
+        }
+        const Treelet& tr = bat.treelets[t];
+        pos = align_up(pos, kTreeletAlignment);
+        layout.treelet_offsets[t] = pos;
+        pos += treelet_layout(tr.nodes.size(), tr.num_particles, nattrs).end;
+    }
+    header.file_size = pos;
+    return layout;
+}
+
+void serialize_bat(const BatData& bat, const BatDeltaSpec* delta,
+                   std::vector<std::byte>& image) {
+    const std::size_t nattrs = bat.num_attrs();
+    const bool has_refs = has_delta_refs(bat, delta);
+    auto ref_of = [&](std::size_t t) {
+        return has_refs ? delta->refs[t] : DeltaRef{};
+    };
 
     // Intern every bitmap up front (shallow tree first: it lives at the
     // start of the file and is read on every query).
@@ -96,21 +162,22 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
             treelet_ids[t][i] = dict.intern(tr.bitmaps[i]);
         }
     }
-    header.dict_size = static_cast<std::uint32_t>(dict.entries().size());
+    const BatLayout layout =
+        layout_bat(bat, delta, static_cast<std::uint32_t>(dict.entries().size()));
+    const FileHeader& header = layout.header;
 
-    BufferWriter w;
-    const std::size_t header_pos = w.size();
-    w.write(header);  // patched below once offsets are known
-
+    // One forward pass: every section lands at its layout offset, so
+    // nothing is patched afterwards and the storage never grows.
+    BufferWriter w(std::move(image));
+    w.reserve(header.file_size);
+    w.write(header);
     for (std::size_t a = 0; a < nattrs; ++a) {
         w.write_string(bat.particles.attr_names()[a]);
         w.write(bat.attr_ranges[a].first);
         w.write(bat.attr_ranges[a].second);
         // v2: bitmap bin edges (equal-width or equal-depth; §VII-A).
-        BAT_CHECK(bat.attr_edges[a].size() == kBitmapBins + 1);
         w.write_span(std::span<const double>(bat.attr_edges[a]));
     }
-
     if (header.flags & kBatFlagHasBases) {
         w.write(static_cast<std::uint32_t>(delta->base_files.size()));
         for (const std::string& name : delta->base_files) {
@@ -118,23 +185,18 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
         }
     }
 
-    w.align_to(8);
-    header.shallow_nodes_offset = w.size();
+    w.pad_to(header.shallow_nodes_offset);
     w.write_span(std::span<const ShallowNode>(bat.shallow_nodes));
-
-    header.shallow_bitmap_ids_offset = w.size();
+    w.pad_to(header.shallow_bitmap_ids_offset);
     w.write_span(std::span<const std::uint16_t>(shallow_ids));
-
-    w.align_to(4);
-    header.dict_offset = w.size();
+    w.pad_to(header.dict_offset);
     w.write_span(std::span<const std::uint32_t>(dict.entries()));
 
-    w.align_to(8);
-    header.treelet_dir_offset = w.size();
-    const std::size_t dir_pos = w.size();
+    w.pad_to(header.treelet_dir_offset);
     for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
         const Treelet& tr = bat.treelets[t];
-        TreeletDirEntry entry;  // offset patched once the treelet is placed
+        TreeletDirEntry entry;
+        entry.offset = layout.treelet_offsets[t];
         entry.num_nodes = static_cast<std::uint32_t>(tr.nodes.size());
         entry.num_points = tr.num_particles;
         entry.bounds[0] = tr.bounds.lower.x;
@@ -160,28 +222,34 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
             continue;  // payload lives in the base file
         }
         const Treelet& tr = bat.treelets[t];
-        w.align_to(kTreeletAlignment);
-        const std::uint64_t offset = w.size();
-        w.patch(dir_pos + t * sizeof(TreeletDirEntry) + offsetof(TreeletDirEntry, offset),
-                offset);
+        const TreeletLayout tl = treelet_layout(tr.nodes.size(), tr.num_particles, nattrs);
+        const std::uint64_t block = layout.treelet_offsets[t];
+        w.pad_to(block);
         w.write(kTreeletMagic);
         w.write(static_cast<std::uint32_t>(tr.nodes.size()));
         w.write(tr.num_particles);
         w.write(std::uint32_t{0});
+        w.pad_to(block + tl.nodes);
         w.write_span(std::span<const TreeletNode>(tr.nodes));
+        w.pad_to(block + tl.bitmap_ids);
         w.write_span(std::span<const std::uint16_t>(treelet_ids[t]));
-        w.align_to(4);
+        w.pad_to(block + tl.positions);
         const std::size_t p0 = 3 * tr.first_particle;
         w.write_span(bat.particles.positions().subspan(p0, 3 * tr.num_particles));
-        w.align_to(8);
+        w.pad_to(block + tl.attrs);
         for (std::size_t a = 0; a < nattrs; ++a) {
             w.write_span(bat.particles.attr(a).subspan(tr.first_particle, tr.num_particles));
         }
     }
+    BAT_CHECK_MSG(w.size() == header.file_size,
+                  "BAT image is " << w.size() << " bytes, layout says " << header.file_size);
+    image = w.take();
+}
 
-    header.file_size = w.size();
-    w.patch(header_pos, header);
-    return w.take();
+std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* delta) {
+    std::vector<std::byte> image;
+    serialize_bat(bat, delta, image);
+    return image;
 }
 
 void write_bat_file(const std::filesystem::path& path, const BatData& bat) {
@@ -344,30 +412,26 @@ BatFile::TreeletView BatFile::treelet(std::size_t t) const {
     view.max_depth = entry.max_depth;
     view.first_particle = entry.first_particle;
 
-    std::uint64_t pos = entry.offset;
-    BAT_CHECK_MSG(pos % kTreeletAlignment == 0, "treelet not page aligned");
+    const std::uint64_t block = entry.offset;
+    BAT_CHECK_MSG(block % kTreeletAlignment == 0, "treelet not page aligned");
     BufferReader r(bytes_);
-    r.seek(pos);
+    r.seek(block);
     BAT_CHECK_MSG(r.read<std::uint32_t>() == kTreeletMagic, "bad treelet magic");
     BAT_CHECK(r.read<std::uint32_t>() == entry.num_nodes);
     BAT_CHECK(r.read<std::uint32_t>() == entry.num_points);
-    r.read<std::uint32_t>();  // reserved
-    pos += 16;
 
+    const TreeletLayout tl =
+        treelet_layout(entry.num_nodes, entry.num_points, header_.num_attrs);
     view.dict = dict_;
-    view.nodes = view_array<TreeletNode>(bytes_, pos, entry.num_nodes);
-    pos += entry.num_nodes * sizeof(TreeletNode);
+    view.nodes = view_array<TreeletNode>(bytes_, block + tl.nodes, entry.num_nodes);
     view.bitmap_ids = view_array<std::uint16_t>(
-        bytes_, pos, static_cast<std::size_t>(entry.num_nodes) * header_.num_attrs);
-    pos += static_cast<std::uint64_t>(entry.num_nodes) * header_.num_attrs * 2;
-    pos = (pos + 3) & ~std::uint64_t{3};
-    view.positions = view_array<float>(bytes_, pos, 3ull * entry.num_points);
-    pos += 12ull * entry.num_points;
-    pos = (pos + 7) & ~std::uint64_t{7};
+        bytes_, block + tl.bitmap_ids,
+        static_cast<std::size_t>(entry.num_nodes) * header_.num_attrs);
+    view.positions = view_array<float>(bytes_, block + tl.positions, 3ull * entry.num_points);
     view.attrs.reserve(header_.num_attrs);
     for (std::size_t a = 0; a < header_.num_attrs; ++a) {
-        view.attrs.push_back(view_array<double>(bytes_, pos, entry.num_points));
-        pos += 8ull * entry.num_points;
+        view.attrs.push_back(view_array<double>(
+            bytes_, block + tl.attrs + sizeof(double) * a * entry.num_points, entry.num_points));
     }
     return view;
 }

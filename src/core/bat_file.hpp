@@ -111,8 +111,44 @@ struct BatDeltaSpec {
     std::vector<DeltaRef> refs;
 };
 
-/// Serialize a built BAT into its on-disk byte layout. With a delta spec,
-/// referenced treelets contribute only their 56-byte directory entry.
+/// Offsets of one inline treelet block's sections, relative to the block's
+/// 4 KB-aligned start. The one copy of this arithmetic: serialize_bat
+/// writes by it, BatFile::treelet reads by it, and the series writer counts
+/// the bytes a delta reference saves by it.
+struct TreeletLayout {
+    std::uint64_t nodes = 0;       // TreeletNode[num_nodes], after the 16-byte head
+    std::uint64_t bitmap_ids = 0;  // u16[num_nodes * num_attrs]
+    std::uint64_t positions = 0;   // f32[3 * num_points], 4-aligned
+    std::uint64_t attrs = 0;       // f64[num_points] per attribute, 8-aligned
+    std::uint64_t end = 0;         // one past the last attribute value
+    /// Bytes the block occupies on disk with its padding to the next block.
+    std::uint64_t block_bytes() const {
+        return (end + kTreeletAlignment - 1) & ~std::uint64_t{kTreeletAlignment - 1};
+    }
+};
+TreeletLayout treelet_layout(std::uint64_t num_nodes, std::uint64_t num_points,
+                             std::uint64_t num_attrs);
+
+/// Where every section of a BAT file lies, computed before any byte is
+/// written: `header` holds the final section offsets and `file_size`, and
+/// `treelet_offsets[t]` the absolute offset of inline treelet t's block
+/// (0 for a treelet stored by reference, which takes no payload).
+struct BatLayout {
+    FileHeader header;
+    std::vector<std::uint64_t> treelet_offsets;
+};
+/// `dict_size` is the entry count of the file's bitmap dictionary.
+BatLayout layout_bat(const BatData& bat, const BatDeltaSpec* delta, std::uint32_t dict_size);
+
+/// Serialize a built BAT into its on-disk byte layout, in one forward pass
+/// over layout_bat's sections: `image` is cleared, reserved to exactly
+/// `file_size` (keeping its storage when that is already large enough) and
+/// filled, padding included, without growth or back-patching. With a delta
+/// spec, referenced treelets contribute only their 56-byte directory entry.
+void serialize_bat(const BatData& bat, const BatDeltaSpec* delta,
+                   std::vector<std::byte>& image);
+
+/// One-shot form: serialize into a fresh, exactly sized buffer.
 std::vector<std::byte> serialize_bat(const BatData& bat,
                                      const BatDeltaSpec* delta = nullptr);
 

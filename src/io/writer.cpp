@@ -36,20 +36,6 @@ std::vector<double> transfer_size_bounds() {
 /// referenced treelet lives; bounded by the keyframe interval).
 std::vector<double> chain_len_bounds() { return {1, 2, 4, 8, 16, 32}; }
 
-/// Bytes an inline treelet block occupies on disk (including the 4 KB
-/// alignment every block pays), for the write.delta_bytes_saved estimate.
-std::uint64_t inline_treelet_bytes(const Treelet& tr, std::size_t nattrs) {
-    std::uint64_t sz = 16;  // magic + counts header
-    sz += tr.nodes.size() * sizeof(TreeletNode);
-    sz += tr.nodes.size() * nattrs * 2;  // bitmap IDs
-    sz = (sz + 3) & ~std::uint64_t{3};
-    sz += 12ull * tr.num_particles;  // f32 xyz
-    sz = (sz + 7) & ~std::uint64_t{7};
-    sz += 8ull * tr.num_particles * nattrs;
-    const std::uint64_t align = kTreeletAlignment;
-    return (sz + align - 1) & ~(align - 1);
-}
-
 /// Per-leaf aggregation duty sent to an aggregator rank.
 struct LeafDuty {
     int leaf_id = -1;
@@ -140,6 +126,9 @@ struct WritePlanState {
     std::vector<RankInfo> infos;  // rank 0: the previous step's gathered infos
     Aggregation agg;              // rank 0: the plan's aggregation
     std::map<int, LeafDeltaState> leaves;  // keyed by leaf id (my duties)
+    /// Storage every leaf of every step serializes into: a steady series
+    /// reuses it instead of allocating and freeing a file image per dump.
+    std::vector<std::byte> image;
 };
 
 }  // namespace io_detail
@@ -460,6 +449,17 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
 
     std::vector<LeafReport> my_reports;
     std::filesystem::create_directories(config.directory);
+    std::vector<std::byte> one_shot;  // without a plan
+    std::vector<std::byte>& image = state != nullptr ? state->image : one_shot;
+    auto write_leaf = [&](const BatData& bat, const BatDeltaSpec* spec,
+                          const std::string& file) {
+        {
+            obs::SpanScope serialize("write.serialize", "write");
+            serialize_bat(bat, spec, image);
+        }
+        write_file(config.directory / file, image);
+        result.bytes_written += image.size();
+    };
     for (auto& [leaf_id, particles] : leaf_particles) {
         BatData bat;
         {
@@ -472,9 +472,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
         obs::PhaseSpan span("write.file_write", &timings.file_write);
         const std::string own_file = leaf_file_name(config.basename, leaf_id);
         if (state == nullptr) {
-            const std::vector<std::byte> bytes = serialize_bat(bat);
-            write_file(config.directory / own_file, bytes);
-            result.bytes_written += bytes.size();
+            write_leaf(bat, nullptr, own_file);
             my_reports.push_back(std::move(report));
             continue;
         }
@@ -499,7 +497,8 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                     spec.base_files.push_back(st.treelet_file[t]);
                 }
                 spec.refs[t] = DeltaRef{it->second, st.treelet_index[t]};
-                saved += inline_treelet_bytes(tr, nattrs);
+                saved +=
+                    treelet_layout(tr.nodes.size(), tr.num_particles, nattrs).block_bytes();
                 ++clean;
             }
         }
@@ -522,10 +521,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                 max_age = std::max(max_age, ++st.ages[t]);
             }
         } else {
-            const std::vector<std::byte> bytes =
-                serialize_bat(bat, clean > 0 ? &spec : nullptr);
-            write_file(config.directory / own_file, bytes);
-            result.bytes_written += bytes.size();
+            write_leaf(bat, clean > 0 ? &spec : nullptr, own_file);
 
             st.hashes.resize(num_treelets);
             st.num_points.resize(num_treelets);

@@ -26,6 +26,14 @@ class BufferWriter {
 public:
     BufferWriter() = default;
     explicit BufferWriter(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
+    /// Write into `storage`, emptied first; its capacity is kept, so a
+    /// caller that hands the same storage back each time (see take())
+    /// allocates only when a write outgrows it.
+    explicit BufferWriter(std::vector<std::byte>&& storage) : buf_(std::move(storage)) {
+        buf_.clear();
+    }
+
+    void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
     template <typename T>
     void write(const T& v) {
@@ -48,20 +56,10 @@ public:
         buf_.insert(buf_.end(), p, p + s.size());
     }
 
-    /// Pad with zero bytes so size() becomes a multiple of `alignment`.
-    void align_to(std::size_t alignment) {
-        const std::size_t rem = buf_.size() % alignment;
-        if (rem != 0) {
-            buf_.insert(buf_.end(), alignment - rem, std::byte{0});
-        }
-    }
-
-    /// Overwrite a previously-written POD at `offset` (for back-patching).
-    template <typename T>
-    void patch(std::size_t offset, const T& v) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        BAT_CHECK(offset + sizeof(T) <= buf_.size());
-        std::memcpy(buf_.data() + offset, &v, sizeof(T));
+    /// Pad with zero bytes up to absolute offset `pos` (>= size()).
+    void pad_to(std::size_t pos) {
+        BAT_CHECK_MSG(pos >= buf_.size(), "pad_to(" << pos << ") behind size " << buf_.size());
+        buf_.insert(buf_.end(), pos - buf_.size(), std::byte{0});
     }
 
     std::size_t size() const { return buf_.size(); }

@@ -45,7 +45,9 @@ void log_emit(LogLevel level, const std::string& msg) {
     // line intact but not its position among multi-line messages).
     std::string line = "[bat ";
     if (t_rank >= 0) {
-        line += "r" + std::to_string(t_rank) + " ";
+        line += 'r';
+        line += std::to_string(t_rank);
+        line += ' ';
     }
     line += level_name(level);
     line += "] ";

@@ -44,7 +44,10 @@ TaskGroup::~TaskGroup() {
 
 void TaskGroup::run(std::function<void()> f) {
     pending_.fetch_add(1, std::memory_order_acq_rel);
-    pool_.enqueue(ThreadPool::Task{std::move(f), this});
+    ThreadPool::Task task;
+    task.fn = std::move(f);
+    task.group = this;
+    pool_.enqueue(std::move(task));
 }
 
 void TaskGroup::wait() {

@@ -127,7 +127,11 @@ Request Comm::isend(int dst, int tag, Bytes payload) {
                             qtrace);
         obs::emit_flow_start("vmpi", flow);
     }
-    Runtime::Message msg{rank_, tag, std::move(payload), flow};
+    Runtime::Message msg;
+    msg.src = rank_;
+    msg.tag = tag;
+    msg.payload = std::move(payload);
+    msg.flow = flow;
     msg.qtrace = qtrace;
     if (sched::maybe_active()) {
         msg.vc = sched::fork_token();  // send side of the send→match edge

@@ -1,8 +1,8 @@
 # Runs the command given after `--` and fails unless it exits with EXPECT.
-# With GOLDEN set, the file OUT the command writes must also equal GOLDEN
-# byte for byte.
+# With MATCH set, its output must also match that regex. With GOLDEN set,
+# the file OUT the command writes must also equal GOLDEN byte for byte.
 #
-#   cmake -DEXPECT=1 [-DOUT=f -DGOLDEN=g] -P expect.cmake -- COMMAND ARGS...
+#   cmake -DEXPECT=1 [-DMATCH=re] [-DOUT=f -DGOLDEN=g] -P expect.cmake -- COMMAND ARGS...
 set(cmd "")
 set(collect FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -17,6 +17,9 @@ execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARI
 message("${out}${err}")
 if(NOT rc STREQUAL "${EXPECT}")
   message(FATAL_ERROR "exit status ${rc}, expected ${EXPECT}")
+endif()
+if(MATCH AND NOT "${out}${err}" MATCHES "${MATCH}")
+  message(FATAL_ERROR "output does not match \"${MATCH}\"")
 endif()
 if(GOLDEN)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${OUT}" "${GOLDEN}"

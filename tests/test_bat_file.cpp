@@ -272,5 +272,102 @@ TEST(BatFileTest, ClusteredDataRoundTrip) {
     EXPECT_EQ(testing::particle_keys(reassembled), keys);
 }
 
+/// Every odd treelet of `bat` stored by reference into base file 0.
+BatDeltaSpec odd_treelets_by_reference(const BatData& bat) {
+    BatDeltaSpec spec;
+    spec.base_files = {"base.bat"};
+    spec.refs.resize(bat.treelets.size());
+    for (std::size_t t = 1; t < bat.treelets.size(); t += 2) {
+        spec.refs[t] = DeltaRef{0, static_cast<std::uint32_t>(t)};
+    }
+    return spec;
+}
+
+FileHeader header_of(const std::vector<std::byte>& image) {
+    FileHeader header;
+    std::memcpy(&header, image.data(), sizeof(header));
+    return header;
+}
+
+TEST(BatFileTest, ImageIntoReusedStorageIsByteIdentical) {
+    const BatData keyframe = make_bat(200'000, 3, 31);
+    const BatData small = make_bat(40'000, 3, 32);
+    const BatDeltaSpec spec = odd_treelets_by_reference(small);
+    ASSERT_GT(small.treelets.size(), 2u);
+    const std::vector<std::byte> fresh_key = serialize_bat(keyframe);
+    const std::vector<std::byte> fresh_delta = serialize_bat(small, &spec);
+    ASSERT_LT(fresh_delta.size(), fresh_key.size());
+
+    // Storage full of stale non-zero bytes, large enough for both images.
+    std::vector<std::byte> storage(fresh_key.size() + kTreeletAlignment, std::byte{0xAB});
+    const std::byte* data = storage.data();
+    serialize_bat(keyframe, nullptr, storage);
+    EXPECT_TRUE(storage == fresh_key);
+    EXPECT_EQ(storage.size(), header_of(storage).file_size);
+    EXPECT_EQ(storage.data(), data);
+
+    // The smaller delta image over the keyframe's bytes: padding must be
+    // written as zeros, never left over from the previous image.
+    serialize_bat(small, &spec, storage);
+    EXPECT_TRUE(storage == fresh_delta);
+    EXPECT_EQ(storage.size(), header_of(storage).file_size);
+    EXPECT_EQ(storage.data(), data);
+
+    // Storage too small for the image grows to fit it exactly.
+    std::vector<std::byte> tiny(16, std::byte{0xAB});
+    serialize_bat(keyframe, nullptr, tiny);
+    EXPECT_TRUE(tiny == fresh_key);
+    EXPECT_EQ(tiny.capacity(), fresh_key.size());
+}
+
+TEST(BatFileTest, LayoutOffsetsMatchReaderSpans) {
+    testing::TempDir dir;
+    const BatData bat = make_bat(60'000, 3, 33);
+    write_bat_file(dir.path() / "base.bat", bat);
+    const BatDeltaSpec spec = odd_treelets_by_reference(bat);
+    write_file(dir.path() / "delta.bat", serialize_bat(bat, &spec));
+
+    const BatFile file(dir.path() / "delta.bat");
+    const FileHeader& header = file.header();
+    const BatLayout layout = layout_bat(bat, &spec, header.dict_size);
+    EXPECT_EQ(std::memcmp(&layout.header, &header, sizeof(FileHeader)), 0);
+    ASSERT_EQ(layout.treelet_offsets.size(), file.num_treelets());
+
+    const auto* start =
+        reinterpret_cast<const std::byte*>(file.dictionary().data()) - header.dict_offset;
+    auto at = [start](const void* p) {
+        return static_cast<std::uint64_t>(static_cast<const std::byte*>(p) - start);
+    };
+    std::size_t inline_treelets = 0;
+    for (std::size_t t = 0; t < file.num_treelets(); ++t) {
+        const BatFile::TreeletView view = file.treelet(t);
+        if (file.treelet_is_delta(t)) {
+            EXPECT_EQ(layout.treelet_offsets[t], 0u) << t;  // no payload here
+            continue;
+        }
+        ++inline_treelets;
+        const std::uint64_t block = layout.treelet_offsets[t];
+        EXPECT_EQ(block % kTreeletAlignment, 0u);
+        const TreeletLayout tl =
+            treelet_layout(view.nodes.size(), view.num_points, file.num_attrs());
+        EXPECT_EQ(at(view.nodes.data()), block + tl.nodes) << t;
+        EXPECT_EQ(at(view.bitmap_ids.data()), block + tl.bitmap_ids) << t;
+        EXPECT_EQ(at(view.positions.data()), block + tl.positions) << t;
+        for (std::size_t a = 0; a < file.num_attrs(); ++a) {
+            EXPECT_EQ(at(view.attrs[a].data()), block + tl.attrs + 8ull * a * view.num_points)
+                << t;
+        }
+        EXPECT_LE(block + tl.end, header.file_size);
+    }
+    EXPECT_GT(inline_treelets, 1u);
+    // The last inline block ends the file.
+    const std::size_t last = (file.num_treelets() - 1) & ~std::size_t{1};
+    EXPECT_EQ(layout.treelet_offsets[last] +
+                  treelet_layout(bat.treelets[last].nodes.size(),
+                                 bat.treelets[last].num_particles, bat.num_attrs())
+                      .end,
+              header.file_size);
+}
+
 }  // namespace
 }  // namespace bat

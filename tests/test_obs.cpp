@@ -504,9 +504,10 @@ TEST(TraceRoundTrip, EightRankWriteAndQueryProducesValidTrace) {
     const std::map<std::string, Span> spans = spans_by_name(root);
     for (const char* required :
          {"write.gather", "write.tree_build", "write.scatter", "write.transfer",
-          "write.bat_build", "write.file_write", "write.metadata", "read.metadata",
-          "read.request", "read.serve", "read.merge", "read.local", "service.query_round",
-          "vmpi.send", "vmpi.recv", "vmpi.gatherv", "vmpi.scatterv", "pool.task"}) {
+          "write.bat_build", "write.file_write", "write.serialize", "write.metadata",
+          "read.metadata", "read.request", "read.serve", "read.merge", "read.local",
+          "service.query_round", "vmpi.send", "vmpi.recv", "vmpi.gatherv", "vmpi.scatterv",
+          "pool.task"}) {
         EXPECT_TRUE(spans.count(required)) << "missing span: " << required;
     }
     // One write phase set per rank.

@@ -46,7 +46,7 @@ void burn_cpu(double cpu_ms) {
     volatile double sink = 0;
     while (std::clock() - start < budget) {
         for (int i = 0; i < 4096; ++i) {
-            sink += static_cast<double>(i) * 1e-9;
+            sink = sink + static_cast<double>(i) * 1e-9;
         }
     }
     (void)sink;

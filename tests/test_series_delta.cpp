@@ -2,12 +2,13 @@
 // delta chains versus full rewrites on every timestep — via Dataset, the
 // collective read_particles, DataService query rounds, and the
 // LeafFileCache — plus non-vacuity of the delta path (plan reuse, clean
-// treelets, keyframes), drift-forced replans and count drift under a
-// reused plan.
+// treelets, keyframes), drift-forced replans, count drift under a reused
+// plan, and the plan's reused file image against one-shot serializes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -19,6 +20,8 @@
 #include "io/reader.hpp"
 #include "io/series.hpp"
 #include "test_helpers.hpp"
+#include "util/mmap_file.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
 
@@ -359,6 +362,106 @@ TEST(SeriesDeltaTest, SubThresholdDriftReusesPlanAndStaysBitExact) {
     const ParticleSet got = reader.open_timestep(1).collect(BatQuery{});
     expect_bit_exact(got, Dataset(full_meta).collect(BatQuery{}));
     EXPECT_EQ(testing::particle_keys(got), testing::particle_keys(step1));
+}
+
+/// Bytes an inline treelet block occupies on disk with its 4 KB padding,
+/// written out here as the fixed expectation for delta_bytes_saved.
+std::uint64_t padded_block_bytes(const Treelet& tr, std::size_t nattrs) {
+    std::uint64_t sz = 16;  // magic + counts
+    sz += tr.nodes.size() * sizeof(TreeletNode);
+    sz += tr.nodes.size() * nattrs * 2;  // bitmap IDs
+    sz = (sz + 3) & ~std::uint64_t{3};
+    sz += 12ull * tr.num_particles;  // f32 xyz
+    sz = (sz + 7) & ~std::uint64_t{7};
+    sz += 8ull * tr.num_particles * nattrs;
+    return (sz + 4095) & ~std::uint64_t{4095};
+}
+
+TEST(SeriesDeltaTest, PlanImageFilesEqualOneShotSerialize) {
+    // Every leaf of every step serializes into the plan's one image. Each
+    // file must still equal a fresh serialize_bat of the same BatData and
+    // delta spec. File-per-process puts rank r's particles, and only
+    // those, in the leaf rank r aggregates, so the test can rebuild that
+    // BatData from the same particles and BatConfig.
+    const ParticleSet base = make_uniform_particles(kDomain, 12'000, 2, 77);
+    const GridDecomp decomp = grid_decomp_3d(kRanks, kDomain);
+    auto data_step = [](int s) { return s == 2 ? 1 : s; };  // step 2: all clean
+    ThreadPool pool(2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p != nullptr ? "pooled" : "serial");
+        testing::TempDir dir;
+        WriterConfig config = series_config(dir.path(), "img");
+        config.strategy = AggStrategy::file_per_process;
+        config.pool = p;
+        std::vector<std::vector<WriteResult>> results(kSteps,
+                                                      std::vector<WriteResult>(kRanks));
+        std::mutex mutex;
+        vmpi::Runtime::run(kRanks, [&](vmpi::Comm& comm) {
+            const auto r = static_cast<std::size_t>(comm.rank());
+            SeriesWriter writer(config);
+            for (int s = 0; s < kSteps; ++s) {
+                const auto per_rank = partition_particles(make_step(base, data_step(s)), decomp);
+                const WriteResult wr =
+                    writer.write_timestep(comm, s, per_rank[r], decomp.rank_box(comm.rank()));
+                std::lock_guard<std::mutex> lock(mutex);
+                results[static_cast<std::size_t>(s)][r] = wr;
+            }
+        });
+
+        BatConfig bat_config = config.bat;
+        bat_config.hash_treelets = true;  // as the writer builds under a plan
+        int files = 0;
+        int delta_files = 0;
+        int unchanged = 0;
+        for (int s = 0; s < kSteps; ++s) {
+            const auto per_rank = partition_particles(make_step(base, data_step(s)), decomp);
+            for (std::size_t r = 0; r < kRanks; ++r) {
+                const WriteResult& wr = results[static_cast<std::size_t>(s)][r];
+                ASSERT_EQ(wr.my_leaf, static_cast<int>(r));
+                const BatData bat = build_bat(per_rank[r], bat_config);
+                const std::filesystem::path path =
+                    dir.path() / ("img_t" + std::to_string(s) + "_" + std::to_string(r) + ".bat");
+                std::uint64_t saved = 0;
+                if (wr.leaves_unchanged == 1) {
+                    // All clean: no file this step, every treelet saved.
+                    ++unchanged;
+                    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+                    for (const Treelet& tr : bat.treelets) {
+                        saved += padded_block_bytes(tr, bat.num_attrs());
+                    }
+                } else {
+                    ++files;
+                    const std::vector<std::byte> bytes = read_file(path);
+                    // The delta spec the writer used, read back from the file.
+                    FileHeader header;
+                    ASSERT_GE(bytes.size(), sizeof(header));
+                    std::memcpy(&header, bytes.data(), sizeof(header));
+                    ASSERT_EQ(header.num_treelets, bat.treelets.size());
+                    BatDeltaSpec spec;
+                    spec.base_files = BatFile(path).base_file_names();
+                    spec.refs.resize(header.num_treelets);
+                    for (std::size_t t = 0; t < header.num_treelets; ++t) {
+                        TreeletDirEntry entry;
+                        std::memcpy(&entry,
+                                    bytes.data() + header.treelet_dir_offset +
+                                        t * sizeof(TreeletDirEntry),
+                                    sizeof(entry));
+                        spec.refs[t] = DeltaRef{entry.base_file, entry.base_treelet};
+                        if (entry.base_file >= 0) {
+                            saved += padded_block_bytes(bat.treelets[t], bat.num_attrs());
+                        }
+                    }
+                    delta_files += spec.base_files.empty() ? 0 : 1;
+                    EXPECT_TRUE(bytes == serialize_bat(bat, &spec)) << path;
+                }
+                EXPECT_EQ(wr.delta_bytes_saved, saved) << "step " << s << " rank " << r;
+            }
+        }
+        // Keyframe (inline), delta and all-clean leaves all occurred.
+        EXPECT_GT(files, 0);
+        EXPECT_GT(delta_files, 0);
+        EXPECT_GT(unchanged, 0);
+    }
 }
 
 }  // namespace

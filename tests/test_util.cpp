@@ -394,23 +394,19 @@ TEST(BufferTest, SpanRoundTrip) {
     EXPECT_EQ(out, xs);
 }
 
-TEST(BufferTest, AlignToPads) {
-    BufferWriter w;
+TEST(BufferTest, PadToWritesZeros) {
+    std::vector<std::byte> storage(16, std::byte{0xAB});  // stale bytes
+    BufferWriter w(std::move(storage));
+    EXPECT_EQ(w.size(), 0u);  // the storage is emptied
     w.write(std::uint8_t{1});
-    w.align_to(8);
+    w.pad_to(8);
     EXPECT_EQ(w.size(), 8u);
-    w.align_to(8);
-    EXPECT_EQ(w.size(), 8u);  // already aligned: no change
-}
-
-TEST(BufferTest, PatchOverwrites) {
-    BufferWriter w;
-    w.write(std::uint64_t{0});
-    w.write(std::uint32_t{7});
-    w.patch(0, std::uint64_t{42});
-    BufferReader r(w.bytes());
-    EXPECT_EQ(r.read<std::uint64_t>(), 42u);
-    EXPECT_EQ(r.read<std::uint32_t>(), 7u);
+    w.pad_to(8);
+    EXPECT_EQ(w.size(), 8u);  // already there: no change
+    for (std::size_t i = 1; i < 8; ++i) {
+        EXPECT_EQ(w.bytes()[i], std::byte{0}) << i;
+    }
+    EXPECT_THROW(w.pad_to(4), Error);  // never backwards
 }
 
 TEST(BufferTest, UnderrunThrows) {

@@ -73,7 +73,8 @@ const std::string* schema_of(const Value& doc) {
 struct Row {
     std::string name;
     double n = 0;
-    double ns_op = 0;  // the payload of a count row ("unit" other than ns/op) is n
+    double ns_op = 0;  // a count row ("unit" other than ns/op) carries its count in n,
+                       // or a value over the population n here
     std::string unit;
 
     std::uint64_t count() const { return static_cast<std::uint64_t>(n); }
@@ -127,8 +128,10 @@ Bench load_bench(const std::string& path) {
         if (!(row.n > 0)) {
             throw Failure(row.name + ": missing positive \"n\"");
         }
-        // `unit` is optional (older documents are all ns/op rows). Count
-        // rows carry ns_op = 0 by design; rate rows must be positive.
+        // `unit` is optional (older documents are all ns/op rows). Other
+        // rows carry ns_op >= 0: 0 on a count row (the count is n), or a
+        // value that may be 0 over the population n (prof.attributed_pct,
+        // the series treelet rows); rate rows must be positive.
         if (const Value* unit = b.find("unit"); unit != nullptr) {
             if (!unit->is_string()) {
                 throw Failure(row.name + ": \"unit\" is not a string");
@@ -191,9 +194,9 @@ const Gate kGates[] = {
     // series: per series.<w> group, delta steps must write under 0.40x the
     // full-rewrite bytes, be no slower end to end, and have referenced at
     // least one prior treelet (else the incremental path degraded to full
-    // rewrites).
-    {"series.*.treelets_clean", "series.*.treelets_written", true, 1, kCount | kPartner,
-     nullptr},
+    // rewrites). The treelet rows carry their count in ns_op, the judged
+    // treelets in n.
+    {"series.*.treelets_clean", "series.*.treelets_written", true, 1, kPartner, nullptr},
     {"series.*.steady_bytes_delta", "series.*.steady_bytes_full", false, 0.40, kCount,
      nullptr},
     {"series.*.write_total_delta", "series.*.write_total_full", false, 1.0, 0,
