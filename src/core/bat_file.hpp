@@ -172,23 +172,21 @@ struct BatSizeStats {
 };
 BatSizeStats bat_size_stats(const BatData& bat, std::uint64_t file_bytes);
 
-/// View of one treelet's nodes, bitmaps, and particle payload. Produced by
-/// BatFile (spans into the mapping) and by BatDataView (spans into the
-/// in-memory build, for in-transit queries before/instead of writing —
-/// paper §III-C3).
+/// View of one treelet's nodes, bitmaps, and particle payload: spans into
+/// a BatFile's bytes, whether mapped from disk or, for in-transit queries
+/// before or instead of writing (paper §III-C3), the serialize_bat image.
 struct BatTreeletView {
     Box bounds;
     std::uint32_t num_points = 0;
     std::int32_t max_depth = 0;
     std::uint32_t first_particle = 0;
     std::span<const TreeletNode> nodes;
-    std::span<const std::uint16_t> bitmap_ids;  // file-backed: dictionary IDs
+    std::span<const std::uint16_t> bitmap_ids;  // dictionary IDs
     /// Dictionary the bitmap_ids index into. For a treelet resolved through
     /// a delta reference this is the *base* file's dictionary, so the view
     /// stays self-contained wherever it came from.
     std::span<const std::uint32_t> dict;
-    std::span<const std::uint32_t> raw_bitmaps; // in-memory: bitmaps directly
-    std::span<const float> positions;           // xyz interleaved
+    std::span<const float> positions;  // xyz interleaved
     std::vector<std::span<const double>> attrs;
 
     Vec3 position(std::uint32_t i) const {

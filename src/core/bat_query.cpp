@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
+#include "obs/query_trace.hpp"
 #include "util/check.hpp"
 
 namespace bat {
@@ -33,19 +35,16 @@ std::uint32_t points_at_depth(double t, int depth, std::uint32_t own_count) {
     return static_cast<std::uint32_t>(std::lround(frac * static_cast<double>(own_count)));
 }
 
-namespace {
-
-template <typename Source>
-struct QueryContext {
-    const Source& file;
+/// The k-d/bitmap traversal of one query; every window it selects is
+/// appended to `plan`.
+struct QueryPlan::Traversal {
+    const BatFile& file;
     const BatQuery& query;
-    const QuerySink& sink;
+    QueryPlan& plan;
     QueryStats& stats;
     /// Per-attribute query bitmaps (relative to the file's local attribute
     /// ranges); empty when no attribute filters are present.
     std::vector<std::uint32_t> query_bitmaps;  // parallel to query.attr_filters
-    std::vector<double> attr_scratch;          // one value per file attribute
-    std::vector<std::uint32_t> selection;      // passing indices of one window
 
     // Explicit traversal stacks (reused across treelets). Recursion depth
     // scales with tree height, and the serve path now runs queries on pool
@@ -100,12 +99,6 @@ struct QueryContext {
         return true;
     }
 
-    void fill_scratch(const BatTreeletView& view, std::uint32_t i) {
-        for (std::size_t a = 0; a < view.attrs.size(); ++a) {
-            attr_scratch[a] = view.attrs[a][i];
-        }
-    }
-
     /// Bit j is set when point j of the n <= 64 interleaved positions at
     /// `xyz` lies in `b` (upper faces inclusive or half-open).
     template <bool Inclusive>
@@ -135,13 +128,14 @@ struct QueryContext {
     }
 
     /// Exact check of the window [begin, end) (removes bitmap false
-    /// positives), one 64-bit selection mask per 64-point block, then emit
-    /// the passing points in ascending order. `skip_box` elides the
+    /// positives), one 64-bit selection mask per 64-point block; the
+    /// passing rows join the plan in ascending order. `skip_box` elides the
     /// containment test when the node's region is inside the query box.
     void select_window(const BatTreeletView& view, std::uint32_t begin, std::uint32_t end,
                        bool skip_box) {
         stats.points_tested += end - begin;
-        selection.clear();
+        std::vector<std::uint32_t>& rows = plan.rows_;
+        const std::size_t first = rows.size();
         const bool test_box = !skip_box && query.box.has_value();
         for (std::uint32_t block = begin; block < end; block += 64) {
             const std::uint32_t n = std::min<std::uint32_t>(64, end - block);
@@ -158,36 +152,23 @@ struct QueryContext {
                 mask &= filter_mask(view.attrs[f.attr].data() + block, n, f);
             }
             for (; mask != 0; mask &= mask - 1) {
-                selection.push_back(block + static_cast<std::uint32_t>(std::countr_zero(mask)));
+                rows.push_back(block + static_cast<std::uint32_t>(std::countr_zero(mask)));
             }
         }
-        if (selection.empty()) {
+        if (rows.size() == first) {
             return;
         }
-        stats.points_emitted += selection.size();
-        if (sink.gather) {
-            sink.gather(view, selection);
-            return;
-        }
-        for (const std::uint32_t i : selection) {
-            fill_scratch(view, i);
-            sink.point(view.position(i), attr_scratch);
-        }
+        stats.points_emitted += rows.size() - first;
+        // The selection is ascending: its last row bounds every row.
+        plan.add_window(view, std::size_t{rows.back()} + 1, first, rows.size(), true);
     }
 
-    /// Fully-matching contiguous window [begin, end): bulk-emit through the
-    /// range sink when present, else per point with no tests.
+    /// Fully-matching contiguous window [begin, end): one range, no tests.
     void emit_range(const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
         stats.points_emitted += end - begin;
         stats.points_fast_path += end - begin;
-        if (sink.range) {
-            sink.range(view, begin, end);
-            return;
-        }
-        for (std::uint32_t i = begin; i < end; ++i) {
-            fill_scratch(view, i);
-            sink.point(view.position(i), attr_scratch);
-        }
+        obs::query_note_fastpath_window();
+        plan.add_window(view, end, begin, end, false);
     }
 
     void traverse_treelet(std::size_t treelet_index, bool contained_hint) {
@@ -316,12 +297,116 @@ struct QueryContext {
     }
 };
 
-}  // namespace
+void QueryPlan::add_window(const BatTreeletView& view, std::size_t rows, std::size_t begin,
+                           std::size_t end, bool gather) {
+    BAT_CHECK_MSG(view.attrs.size() == num_attrs_ && 3 * rows <= view.positions.size(),
+                  "query window past its treelet's positions");
+    for (const std::span<const double> column : view.attrs) {
+        BAT_CHECK_MSG(rows <= column.size(), "query window past an attribute column");
+    }
+    count_ += end - begin;
+    // A treelet's windows arrive back to back: its columns are kept once.
+    if (windows_.empty() || windows_.back().xyz != view.positions.data()) {
+        windows_.push_back({view.positions.data(), columns_.size(), begin, end, gather});
+        for (const std::span<const double> column : view.attrs) {
+            columns_.push_back(column.data());
+        }
+        return;
+    }
+    // A window that continues the last one of its kind extends it: index
+    // lists are appended back to back, and a contained subtree's windows
+    // tile its rows in preorder.
+    Window& last = windows_.back();
+    if (last.gather == gather && last.end == begin) {
+        last.end = end;
+        return;
+    }
+    windows_.push_back({last.xyz, last.columns, begin, end, gather});
+}
 
-template <typename Source>
-std::uint64_t query_bat_impl(const Source& file, const BatQuery& query,
-                             const QuerySink& sink, QueryStats* stats) {
-    BAT_CHECK_MSG(sink.point != nullptr, "QuerySink requires a point callback");
+std::vector<std::byte> QueryPlan::wire_header(std::span<const std::string> attr_names) const {
+    BufferWriter w;
+    ParticleSet::serialize_header(w, count_, attr_names);
+    return w.take();
+}
+
+std::size_t QueryPlan::wire_size(std::span<const std::string> attr_names) const {
+    return wire_header(attr_names).size() +
+           count_ * (3 * sizeof(float) + attr_names.size() * sizeof(double));
+}
+
+void QueryPlan::write_wire(std::span<std::byte> dst,
+                           std::span<const std::string> attr_names) const {
+    BAT_CHECK_MSG(dst.size() == wire_size(attr_names) && attr_names.size() == num_attrs_,
+                  "leaf part buffer does not fit its plan");
+    const std::vector<std::byte> header = wire_header(attr_names);
+    std::memcpy(dst.data(), header.data(), header.size());
+    std::byte* const xyz = dst.data() + header.size();
+    std::vector<std::byte*> attrs(num_attrs_);
+    for (std::size_t a = 0; a < num_attrs_; ++a) {
+        attrs[a] = xyz + (3 * sizeof(float) + a * sizeof(double)) * count_;
+    }
+    write_columns(xyz, attrs);
+}
+
+void QueryPlan::write_into(ParticleSet& out, std::size_t at) const {
+    BAT_CHECK_MSG(out.num_attrs() == num_attrs_ && at + count_ <= out.count(),
+                  "query plan past the end of the set");
+    std::vector<std::byte*> attrs(num_attrs_);
+    for (std::size_t a = 0; a < num_attrs_; ++a) {
+        attrs[a] = reinterpret_cast<std::byte*>(out.attr_mut(a).data() + at);
+    }
+    write_columns(reinterpret_cast<std::byte*>(out.positions_mut().data() + 3 * at), attrs);
+}
+
+void QueryPlan::write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const {
+    constexpr std::size_t kPoint = 3 * sizeof(float);
+    // Column by column: one destination stream at a time. memcpy keeps the
+    // wire payload's unaligned columns well-defined.
+    for (const Window& w : windows_) {
+        if (!w.gather) {
+            std::memcpy(xyz, w.xyz + 3 * w.begin, kPoint * (w.end - w.begin));
+            xyz += kPoint * (w.end - w.begin);
+            continue;
+        }
+        for (std::size_t k = w.begin; k < w.end; ++k, xyz += kPoint) {
+            std::memcpy(xyz, w.xyz + 3 * std::size_t{rows_[k]}, kPoint);
+        }
+    }
+    for (std::size_t a = 0; a < attrs.size(); ++a) {
+        std::byte* dst = attrs[a];
+        for (const Window& w : windows_) {
+            const double* src = columns_[w.columns + a];
+            if (!w.gather) {
+                std::memcpy(dst, src + w.begin, sizeof(double) * (w.end - w.begin));
+                dst += sizeof(double) * (w.end - w.begin);
+                continue;
+            }
+            for (std::size_t k = w.begin; k < w.end; ++k, dst += sizeof(double)) {
+                std::memcpy(dst, src + rows_[k], sizeof(double));
+            }
+        }
+    }
+}
+
+void QueryPlan::for_each(const QueryCallback& cb) const {
+    std::vector<double> attrs(num_attrs_);
+    for (const Window& w : windows_) {
+        const double* const* columns = columns_.data() + w.columns;
+        const auto emit = [&](std::size_t i) {
+            for (std::size_t a = 0; a < attrs.size(); ++a) {
+                attrs[a] = columns[a][i];
+            }
+            const float* p = w.xyz + 3 * i;
+            cb(Vec3{p[0], p[1], p[2]}, attrs);
+        };
+        for (std::size_t k = w.begin; k < w.end; ++k) {
+            emit(w.gather ? std::size_t{rows_[k]} : k);
+        }
+    }
+}
+
+QueryPlan plan_bat(const BatFile& file, const BatQuery& query, QueryStats* stats) {
     BAT_CHECK_MSG(query.quality_lo <= query.quality_hi,
                   "quality_lo must not exceed quality_hi");
     for (const AttrFilter& f : query.attr_filters) {
@@ -330,66 +415,30 @@ std::uint64_t query_bat_impl(const Source& file, const BatQuery& query,
     }
     QueryStats local_stats;
     QueryStats& st = stats != nullptr ? *stats : local_stats;
-    // Stats accumulate (see QueryStats in the header); the return value is
-    // still this call's emission count.
-    const std::uint64_t emitted_before = st.points_emitted;
-
-    QueryContext<Source> ctx{file, query, sink, st, {}, {}, {}, {}, {}};
-    ctx.attr_scratch.resize(file.num_attrs());
-    ctx.query_bitmaps.reserve(query.attr_filters.size());
+    QueryPlan plan;
+    plan.num_attrs_ = file.num_attrs();
+    QueryPlan::Traversal walk{file, query, plan, st, {}, {}, {}};
+    walk.query_bitmaps.reserve(query.attr_filters.size());
     for (const AttrFilter& f : query.attr_filters) {
         const std::uint32_t bits =
             bitmap_for_range(f.lo, f.hi, file.attr_edges(f.attr));
         if (bits == 0) {
             // The filter cannot match anything in this file.
-            return 0;
+            return plan;
         }
-        ctx.query_bitmaps.push_back(bits);
+        walk.query_bitmaps.push_back(bits);
     }
-
     if (!file.shallow_nodes().empty()) {
-        ctx.traverse_shallow();
+        walk.traverse_shallow();
     }
-    return st.points_emitted - emitted_before;
+    return plan;
 }
 
 std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryCallback& cb,
                         QueryStats* stats) {
-    return query_bat_impl(file, query, QuerySink{cb, nullptr, nullptr}, stats);
-}
-
-std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QuerySink& sink,
-                        QueryStats* stats) {
-    return query_bat_impl(file, query, sink, stats);
-}
-
-std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,
-                        const QueryCallback& cb, QueryStats* stats) {
-    return query_bat_impl(bat, query, QuerySink{cb, nullptr, nullptr}, stats);
-}
-
-std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,
-                        const QuerySink& sink, QueryStats* stats) {
-    return query_bat_impl(bat, query, sink, stats);
-}
-
-BatTreeletView BatDataView::treelet(std::size_t t) const {
-    const Treelet& tr = bat_->treelets[t];
-    BatTreeletView view;
-    view.bounds = tr.bounds;
-    view.num_points = tr.num_particles;
-    view.max_depth = tr.max_depth;
-    view.first_particle = tr.first_particle;
-    view.nodes = tr.nodes;
-    view.raw_bitmaps = tr.bitmaps;
-    view.positions =
-        bat_->particles.positions().subspan(3 * tr.first_particle, 3 * tr.num_particles);
-    view.attrs.reserve(num_attrs());
-    for (std::size_t a = 0; a < num_attrs(); ++a) {
-        view.attrs.push_back(
-            bat_->particles.attr(a).subspan(tr.first_particle, tr.num_particles));
-    }
-    return view;
+    const QueryPlan plan = plan_bat(file, query, stats);
+    plan.for_each(cb);
+    return plan.count();
 }
 
 }  // namespace bat

@@ -2,16 +2,18 @@
 // Visualization reads on the BAT layout (paper §V).
 //
 // A query takes a desired quality level, an optional bounding box, and a
-// set of attribute range filters, and invokes a callback for every matching
-// point. Spatial pruning uses the k-d hierarchy (exact); attribute pruning
-// tests the query's 32-bit bitmap against each node's bitmap (conservative:
-// bitwise AND == 0 proves the subtree holds no matches, so subtrees are
-// never wrongly skipped), with a final exact per-point check to discard
-// false positives (§V-A). That check runs over a node's whole progressive
+// set of attribute range filters. plan_bat runs it once over a BAT file and
+// returns a QueryPlan: the windows of matching points in emission order,
+// which a reader copies out (write_wire, write_into) or visits point by
+// point (for_each; query_bat is plan_bat followed by for_each). Spatial
+// pruning uses the k-d hierarchy (exact); attribute pruning tests the
+// query's 32-bit bitmap against each node's bitmap (conservative: bitwise
+// AND == 0 proves the subtree holds no matches, so subtrees are never
+// wrongly skipped), with a final exact per-point check to discard false
+// positives (§V-A). That check runs over a node's whole progressive
 // window at once: one branch-free 64-bit selection mask per 64-point block
 // (box test on the f32 positions, then each attribute range on the f64
-// columns), whose passing indices leave in ascending order — in one call
-// through QuerySink::gather, or one QuerySink::point call each.
+// columns), whose passing indices join the plan in ascending order.
 //
 // Progressive multiresolution reads (§V-B): the quality parameter in [0, 1]
 // is remapped on a log scale (LOD particle counts double per level) and
@@ -24,6 +26,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/bat_file.hpp"
@@ -51,7 +54,7 @@ struct BatQuery {
     bool inclusive_upper = true;
 };
 
-/// Query counters. The struct ACCUMULATES: query_bat adds to the caller's
+/// Query counters. The struct ACCUMULATES: plan_bat adds to the caller's
 /// counters rather than resetting them, so one QueryStats can sum a whole
 /// multi-leaf read (Dataset::query, the parallel read path). Callers wanting
 /// per-call numbers pass a zero-initialized struct. `points_fast_path`
@@ -72,84 +75,62 @@ struct QueryStats {
 /// attribute (in file attribute order).
 using QueryCallback = std::function<void(Vec3, std::span<const double>)>;
 
-/// Bulk callback for the fully-contained fast path: every point of the
-/// contiguous treelet range [begin, end) matches the query. Positions are
-/// view.positions.subspan(3 * begin, 3 * (end - begin)); attribute columns
-/// are view.attrs[a].subspan(begin, end - begin).
-using QueryRangeCallback =
-    std::function<void(const BatTreeletView&, std::uint32_t, std::uint32_t)>;
-
-/// Bulk callback for a tested window: `idx` lists, in ascending order, the
-/// treelet-local indices of the window's points that passed the exact
-/// box/filter check. Positions are view.positions[3 * idx[k] + 0..2];
-/// attribute values are view.attrs[a][idx[k]]. The span is only valid for
-/// the duration of the call.
-using QueryGatherCallback =
-    std::function<void(const BatTreeletView&, std::span<const std::uint32_t>)>;
-
-/// Emission sinks for a query. `point` is required; the two bulk members
-/// are optional and let ParticleSet consumers append whole windows:
-/// - `range`: a node's region lies entirely inside the query box and no
-///   attribute filter is active, so its progressive window is emitted as
-///   one contiguous range with no per-point box/filter work;
-/// - `gather`: every other non-empty window, as the index list of the
-///   points that passed the exact check.
-/// Without them, each point goes through `point`. The emission order is
-/// the same whichever members are set.
-struct QuerySink {
-    QueryCallback point;
-    QueryRangeCallback range;
-    QueryGatherCallback gather;
-};
-
-/// Run a query against a BAT file; returns the number of points emitted
-/// by this call (stats, if given, accumulate — see QueryStats).
-std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryCallback& cb,
-                        QueryStats* stats = nullptr);
-std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QuerySink& sink,
-                        QueryStats* stats = nullptr);
-
-/// Zero-copy adapter exposing a just-built, not-yet-serialized BAT through
-/// the same interface as BatFile, enabling the paper's in-transit use: "the
-/// tree can be used for in transit visualization and analysis on the
-/// aggregators before or instead of being written to disk" (§III-C3).
-class BatDataView {
+/// One query over one BAT file, planned: the output of the traversal.
+/// plan_bat walks the tree once and keeps every window it selects — its
+/// treelet's columns plus either a contiguous [begin, end) row range (a
+/// node region inside the query box with no attribute filter active, the
+/// fast path that skips the per-point test) or the ascending rows that
+/// passed the exact check — so count() is known before a point is copied.
+/// The plan points into the file's treelets but does not hold the file:
+/// the BatFile (and the base files its delta treelets resolve to) must
+/// outlive it. It is consumed three ways, each in emission order.
+class QueryPlan {
 public:
-    explicit BatDataView(const BatData& bat) : bat_(&bat) {}
+    std::size_t count() const { return count_; }
 
-    std::size_t num_attrs() const { return bat_->num_attrs(); }
-    std::pair<double, double> attr_range(std::size_t a) const {
-        return bat_->attr_ranges[a];
-    }
-    const BinEdges& attr_edges(std::size_t a) const { return bat_->attr_edges[a]; }
-    std::span<const ShallowNode> shallow_nodes() const { return bat_->shallow_nodes; }
-    std::uint32_t shallow_bitmap(std::size_t i, std::size_t a) const {
-        return bat_->shallow_bitmaps[i * num_attrs() + a];
-    }
-    std::size_t num_treelets() const { return bat_->treelets.size(); }
-    BatTreeletView treelet(std::size_t t) const;
-    std::uint32_t treelet_bitmap(const BatTreeletView& view, std::size_t node,
-                                 std::size_t a) const {
-        return view.raw_bitmaps[node * num_attrs() + a];
-    }
+    /// Size of the plan's ParticleSet wire payload under `attr_names`.
+    std::size_t wire_size(std::span<const std::string> attr_names) const;
+    /// Write that payload (ParticleSet::to_bytes() of the points) into
+    /// `dst`, which must be exactly wire_size() bytes.
+    void write_wire(std::span<std::byte> dst, std::span<const std::string> attr_names) const;
+    /// Write the points into slots [at, at + count()) of `out`, which must
+    /// already hold them and have the file's attribute count.
+    void write_into(ParticleSet& out, std::size_t at) const;
+    /// Call `cb` once per point.
+    void for_each(const QueryCallback& cb) const;
 
 private:
-    const BatData* bat_;
+    friend QueryPlan plan_bat(const BatFile&, const BatQuery&, QueryStats*);
+    struct Traversal;
+
+    struct Window {
+        const float* xyz = nullptr;  // the treelet's interleaved positions
+        std::size_t columns = 0;     // its attribute columns, in columns_
+        std::size_t begin = 0;       // range: rows; gather: indices in rows_
+        std::size_t end = 0;
+        bool gather = false;
+    };
+
+    void add_window(const BatTreeletView& view, std::size_t rows, std::size_t begin,
+                    std::size_t end, bool gather);
+    std::vector<std::byte> wire_header(std::span<const std::string> attr_names) const;
+    void write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const;
+
+    std::size_t num_attrs_ = 0;
+    std::size_t count_ = 0;
+    std::vector<Window> windows_;
+    std::vector<const double*> columns_;
+    std::vector<std::uint32_t> rows_;
 };
 
-/// Run a query against an in-memory BAT (same semantics as the file path).
-std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,
-                        const QueryCallback& cb, QueryStats* stats = nullptr);
-std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,
-                        const QuerySink& sink, QueryStats* stats = nullptr);
-inline std::uint64_t query_bat(const BatData& bat, const BatQuery& query,
-                               const QueryCallback& cb, QueryStats* stats = nullptr) {
-    return query_bat(BatDataView(bat), query, cb, stats);
-}
-inline std::uint64_t query_bat(const BatData& bat, const BatQuery& query,
-                               const QuerySink& sink, QueryStats* stats = nullptr) {
-    return query_bat(BatDataView(bat), query, sink, stats);
-}
+/// Plan a query against a BAT file (stats, if given, accumulate — see
+/// QueryStats).
+QueryPlan plan_bat(const BatFile& file, const BatQuery& query, QueryStats* stats = nullptr);
+
+/// Plan, then call `cb` per point; returns the number of points emitted
+/// by this call.
+std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryCallback& cb,
+                        QueryStats* stats = nullptr);
 
 /// The log-scale quality remap (§V-B), exposed for tests: maps quality in
 /// [0, 1] to a fractional traversal depth in [0, levels], where `levels` is

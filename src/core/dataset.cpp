@@ -27,11 +27,12 @@ const BatFile& Dataset::leaf_file(int leaf_id) {
     BAT_CHECK(leaf_id >= 0 && static_cast<std::size_t>(leaf_id) < meta_.leaves.size());
     auto it = files_.find(leaf_id);
     if (it == files_.end()) {
-        it = files_
-                 .emplace(leaf_id,
-                          std::make_unique<BatFile>(
-                              dir_ / meta_.leaves[static_cast<std::size_t>(leaf_id)].file))
-                 .first;
+        auto file = std::make_unique<BatFile>(
+            dir_ / meta_.leaves[static_cast<std::size_t>(leaf_id)].file);
+        // Every point is handed out under the metadata's schema.
+        BAT_CHECK_MSG(file->attr_names() == meta_.attr_names,
+                      "leaf " << leaf_id << " attributes differ from the metadata's");
+        it = files_.emplace(leaf_id, std::move(file)).first;
     }
     return *it->second;
 }
@@ -47,11 +48,22 @@ std::uint64_t Dataset::query(const BatQuery& query, const QueryCallback& cb,
     return emitted;
 }
 
-ParticleSet Dataset::collect(const BatQuery& query) {
+ParticleSet Dataset::collect(const BatQuery& query, QueryStats* stats) {
+    // Open leaves stay mapped for the Dataset's lifetime, so every plan
+    // can be kept until the result, sized once, is written.
+    std::vector<QueryPlan> plans;
+    std::size_t total = 0;
+    for (int leaf : meta_.query_leaves(query.box, query.attr_filters)) {
+        plans.push_back(plan_bat(leaf_file(leaf), query, stats));
+        total += plans.back().count();
+    }
     ParticleSet out(meta_.attr_names);
-    this->query(query, [&out](Vec3 p, std::span<const double> attrs) {
-        out.push_back(p, attrs);
-    });
+    out.resize(total);
+    std::size_t at = 0;
+    for (const QueryPlan& plan : plans) {
+        plan.write_into(out, at);
+        at += plan.count();
+    }
     return out;
 }
 

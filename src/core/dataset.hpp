@@ -41,8 +41,9 @@ public:
     std::uint64_t query(const BatQuery& query, const QueryCallback& cb,
                         QueryStats* stats = nullptr);
 
-    /// Convenience: collect the matching points into a ParticleSet.
-    ParticleSet collect(const BatQuery& query);
+    /// Collect the matching points into a ParticleSet, in query() order.
+    /// Counts add into `stats`.
+    ParticleSet collect(const BatQuery& query, QueryStats* stats = nullptr);
 
     /// Leaf file handle (opened/mmapped on first use).
     const BatFile& leaf_file(int leaf_id);

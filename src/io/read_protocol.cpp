@@ -111,120 +111,6 @@ std::uint32_t peek_seq(std::span<const std::byte> bytes) {
     return r.read<std::uint32_t>();
 }
 
-LeafPlan::LeafPlan(std::shared_ptr<const BatFile> file, const BatQuery& query)
-    : file_(std::move(file)), num_attrs_(file_->num_attrs()) {
-    QuerySink sink;
-    sink.point = [](Vec3, std::span<const double>) {
-        BAT_CHECK_MSG(false, "a leaf plan records whole windows only");
-    };
-    sink.range = [this](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
-        obs::query_note_fastpath_window();
-        record(view, end, begin, end, false);
-    };
-    sink.gather = [this](const BatTreeletView& view, std::span<const std::uint32_t> idx) {
-        if (idx.empty()) {
-            return;
-        }
-        const std::size_t begin = rows_.size();
-        rows_.insert(rows_.end(), idx.begin(), idx.end());
-        // The selection is ascending: its last index bounds every row.
-        record(view, std::size_t{idx.back()} + 1, begin, rows_.size(), true);
-    };
-    query_bat(*file_, query, sink);
-}
-
-void LeafPlan::record(const BatTreeletView& view, std::size_t rows, std::size_t begin,
-                      std::size_t end, bool gather) {
-    BAT_CHECK_MSG(view.attrs.size() == num_attrs_ && 3 * rows <= view.positions.size(),
-                  "query window past its treelet's positions");
-    for (const std::span<const double> column : view.attrs) {
-        BAT_CHECK_MSG(rows <= column.size(), "query window past an attribute column");
-    }
-    count_ += end - begin;
-    // A treelet's windows arrive back to back: its columns are kept once.
-    if (windows_.empty() || windows_.back().xyz != view.positions.data()) {
-        windows_.push_back({view.positions.data(), columns_.size(), begin, end, gather});
-        for (const std::span<const double> column : view.attrs) {
-            columns_.push_back(column.data());
-        }
-        return;
-    }
-    // A window that continues the last one of its kind extends it: index
-    // lists are appended back to back, and a contained subtree's windows
-    // tile its rows in preorder.
-    Window& last = windows_.back();
-    if (last.gather == gather && last.end == begin) {
-        last.end = end;
-        return;
-    }
-    windows_.push_back({last.xyz, last.columns, begin, end, gather});
-}
-
-std::vector<std::byte> LeafPlan::wire_header(std::span<const std::string> attr_names) const {
-    BufferWriter w;
-    ParticleSet::serialize_header(w, count_, attr_names);
-    return w.take();
-}
-
-std::size_t LeafPlan::wire_size(std::span<const std::string> attr_names) const {
-    return wire_header(attr_names).size() +
-           count_ * (3 * sizeof(float) + attr_names.size() * sizeof(double));
-}
-
-void LeafPlan::write_wire(std::span<std::byte> dst,
-                          std::span<const std::string> attr_names) const {
-    BAT_CHECK_MSG(dst.size() == wire_size(attr_names) && attr_names.size() == num_attrs_,
-                  "leaf part buffer does not fit its plan");
-    const std::vector<std::byte> header = wire_header(attr_names);
-    std::memcpy(dst.data(), header.data(), header.size());
-    std::byte* const xyz = dst.data() + header.size();
-    std::vector<std::byte*> attrs(num_attrs_);
-    for (std::size_t a = 0; a < num_attrs_; ++a) {
-        attrs[a] = xyz + (3 * sizeof(float) + a * sizeof(double)) * count_;
-    }
-    write_columns(xyz, attrs);
-}
-
-void LeafPlan::write_into(ParticleSet& out, std::size_t at) const {
-    BAT_CHECK_MSG(out.num_attrs() == num_attrs_ && at + count_ <= out.count(),
-                  "leaf plan past the end of the set");
-    std::vector<std::byte*> attrs(num_attrs_);
-    for (std::size_t a = 0; a < num_attrs_; ++a) {
-        attrs[a] = reinterpret_cast<std::byte*>(out.attr_mut(a).data() + at);
-    }
-    write_columns(reinterpret_cast<std::byte*>(out.positions_mut().data() + 3 * at), attrs);
-}
-
-void LeafPlan::write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const {
-    constexpr std::size_t kPoint = 3 * sizeof(float);
-    // Column by column: one destination stream at a time. memcpy keeps the
-    // wire payload's unaligned columns well-defined.
-    for (const Window& w : windows_) {
-        if (!w.gather) {
-            std::memcpy(xyz, w.xyz + 3 * w.begin, kPoint * (w.end - w.begin));
-            xyz += kPoint * (w.end - w.begin);
-            continue;
-        }
-        for (std::size_t k = w.begin; k < w.end; ++k, xyz += kPoint) {
-            std::memcpy(xyz, w.xyz + 3 * std::size_t{rows_[k]}, kPoint);
-        }
-    }
-    for (std::size_t a = 0; a < attrs.size(); ++a) {
-        std::byte* dst = attrs[a];
-        for (const Window& w : windows_) {
-            const double* src = columns_[w.columns + a];
-            if (!w.gather) {
-                std::memcpy(dst, src + w.begin, sizeof(double) * (w.end - w.begin));
-                dst += sizeof(double) * (w.end - w.begin);
-                continue;
-            }
-            for (std::size_t k = w.begin; k < w.end; ++k, dst += sizeof(double)) {
-                std::memcpy(dst, src + rows_[k], sizeof(double));
-            }
-        }
-    }
-}
-
 std::size_t merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads,
                             std::span<const std::size_t> leaves, std::size_t tail) {
     if (sched::maybe_active()) {
@@ -387,7 +273,8 @@ void LeafServer::plan_part(Job& j, std::size_t i) {
     obs::query_thread_cache_counts(&hits0, &misses0);
     part.start_ns = obs::trace_now_ns();
     try {
-        part.plan = LeafPlan(open_leaf_(j.leaves[i]), j.query);
+        part.file = open_leaf_(j.leaves[i]);
+        part.plan = plan_bat(*part.file, j.query);
         part.size = part.plan.wire_size(attr_names_);
     } catch (...) {
         note_error();
@@ -407,7 +294,8 @@ void LeafServer::write_part(Job& j, std::size_t i) {
             note_error();
         }
     }
-    part.plan = LeafPlan();  // done with the leaf's mapping
+    part.plan = QueryPlan();  // done with the leaf's mapping
+    part.file.reset();
     if (!j.ctx.valid()) {
         return;
     }
@@ -552,8 +440,12 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query,
     const auto open_leaf = [&](std::int32_t leaf) {
         BAT_CHECK_MSG(leaf >= 0 && static_cast<std::size_t>(leaf) < meta.leaves.size(),
                       "leaf id out of range in read request");
-        return setup.cache.open(setup.dir / meta.leaves[static_cast<std::size_t>(leaf)].file,
-                                &bytes_read);
+        std::shared_ptr<const BatFile> file = setup.cache.open(
+            setup.dir / meta.leaves[static_cast<std::size_t>(leaf)].file, &bytes_read);
+        // Parts and results are laid out under the metadata's names.
+        BAT_CHECK_MSG(file->attr_names() == meta.attr_names,
+                      "leaf " << leaf << " attributes differ from the metadata's");
+        return file;
     };
     LeafServer server(comm, setup.request_tag, setup.response_tag, setup.pool,
                       meta.attr_names, open_leaf);
@@ -565,15 +457,20 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query,
             error = std::current_exception();
         }
     };
-    // The local leaves are planned where the loop would otherwise yield.
-    std::vector<LeafPlan> local_plans;
+    // The local leaves are planned where the loop would otherwise yield;
+    // each plan's leaf stays open until its points are written.
+    std::vector<std::shared_ptr<const BatFile>> local_files;
+    std::vector<QueryPlan> local_plans;
+    local_files.reserve(local_leaves.size());
     local_plans.reserve(local_leaves.size());
     const auto plan_local = [&] {
         if (error || local_plans.size() == local_leaves.size()) {
             return false;
         }
         try {
-            local_plans.emplace_back(open_leaf(local_leaves[local_plans.size()]), *query);
+            std::shared_ptr<const BatFile> file = open_leaf(local_leaves[local_plans.size()]);
+            local_plans.push_back(plan_bat(*file, *query));
+            local_files.push_back(std::move(file));
         } catch (...) {
             hold_error();
         }
@@ -625,12 +522,12 @@ RoundResult query_round(const RoundSetup& setup, const BatQuery* query,
     // ---- zero-copy ingestion, then the local leaves (paper §IV-B) -----------
     // One resize holds the merged responses and the local leaves after them.
     std::size_t local_count = 0;
-    for (const LeafPlan& plan : local_plans) {
+    for (const QueryPlan& plan : local_plans) {
         local_count += plan.count();
     }
     std::size_t at = merge_responses(result.particles, responses, request_leaves, local_count);
     const std::uint64_t merge_done_ns = next_stage("read.local", &ReadPhaseTimings::local);
-    for (const LeafPlan& plan : local_plans) {
+    for (const QueryPlan& plan : local_plans) {
         plan.write_into(result.particles, at);
         at += plan.count();
     }

@@ -10,11 +10,11 @@
 // request order, and echoes the client-chosen `seq` so clients can key
 // responses to requests deterministically regardless of completion order.
 //
-// One copy per served point: every leaf, served or local, is a LeafPlan —
-// the query runs once and records its windows, so the point count is known
-// before a payload byte moves — and then each point is copied once, from
-// the mapped leaf straight into its exactly sized response part or its
-// slot of the round's result.
+// One copy per served point: every leaf, served or local, is planned first
+// (plan_bat: the query runs once and keeps its windows, so the point count
+// is known before a payload byte moves), and then each point is copied
+// once, from the mapped leaf straight into its exactly sized response part
+// or its slot of the round's result.
 //
 // LeafServer fans the per-leaf plans and part writes of incoming requests
 // out to a ThreadPool while the owning rank's comm loop keeps progressing
@@ -73,49 +73,6 @@ ResponseView decode_response(std::span<const std::byte> bytes);
 /// rest.
 std::uint32_t peek_seq(std::span<const std::byte> bytes);
 
-/// One leaf query, planned: query_bat runs once through a recording sink
-/// that keeps each emitted window — its treelet's columns plus the
-/// [begin, end) range or the ascending index list — so count() is known
-/// before any point is copied. The writers then copy every point once, in
-/// emission order, straight from the mapped leaf, which the plan holds.
-class LeafPlan {
-public:
-    LeafPlan() = default;
-    LeafPlan(std::shared_ptr<const BatFile> file, const BatQuery& query);
-
-    std::size_t count() const { return count_; }
-
-    /// Size of the plan's ParticleSet wire payload under `attr_names`.
-    std::size_t wire_size(std::span<const std::string> attr_names) const;
-    /// Write that payload (ParticleSet::to_bytes() of the points) into
-    /// `dst`, which must be exactly wire_size() bytes.
-    void write_wire(std::span<std::byte> dst, std::span<const std::string> attr_names) const;
-    /// Write the points into slots [at, at + count()) of `out`, which must
-    /// already hold them and have the file's attribute count.
-    void write_into(ParticleSet& out, std::size_t at) const;
-
-private:
-    struct Window {
-        const float* xyz = nullptr;  // the treelet's interleaved positions
-        std::size_t columns = 0;     // its attribute columns, in columns_
-        std::size_t begin = 0;       // range: rows; gather: indices in rows_
-        std::size_t end = 0;
-        bool gather = false;
-    };
-
-    void record(const BatTreeletView& view, std::size_t rows, std::size_t begin,
-                std::size_t end, bool gather);
-    std::vector<std::byte> wire_header(std::span<const std::string> attr_names) const;
-    void write_columns(std::byte* xyz, std::span<std::byte* const> attrs) const;
-
-    std::shared_ptr<const BatFile> file_;
-    std::size_t num_attrs_ = 0;
-    std::size_t count_ = 0;
-    std::vector<Window> windows_;
-    std::vector<const double*> columns_;
-    std::vector<std::uint32_t> rows_;
-};
-
 /// Merge response payloads into `out` in the given order with one resize
 /// and ParticleSet::deserialize_into per part — no intermediate sets.
 /// payloads[i] answers a request for leaves[i] leaves and must carry that
@@ -173,7 +130,8 @@ public:
 
 private:
     struct Part {
-        LeafPlan plan;  // holds the leaf file until the part is written
+        std::shared_ptr<const BatFile> file;  // what `plan` points into
+        QueryPlan plan;
         std::size_t offset = 0;
         std::size_t size = 0;  // 0 = the leaf failed
         std::uint64_t start_ns = 0;

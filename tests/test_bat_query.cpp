@@ -46,21 +46,12 @@ std::vector<testing::ParticleKey> collect(const BatFile& file, const BatQuery& q
     return keys;
 }
 
-/// Append row `i` of a query window's treelet to `out` (the bulk sinks'
-/// test-local ingestion: one push_back per point).
-void append_row(ParticleSet& out, const BatTreeletView& view, std::uint32_t i) {
-    std::vector<double> attrs(view.attrs.size());
-    for (std::size_t a = 0; a < attrs.size(); ++a) {
-        attrs[a] = view.attrs[a][i];
-    }
-    out.push_back(view.position(i), attrs);
-}
-
-void append_rows(ParticleSet& out, const BatTreeletView& view, std::uint32_t begin,
-                 std::uint32_t end) {
-    for (std::uint32_t i = begin; i < end; ++i) {
-        append_row(out, view, i);
-    }
+/// The plan's points, written into a set sized once (write_into).
+ParticleSet plan_points(const QueryPlan& plan, const std::vector<std::string>& attr_names) {
+    ParticleSet out(attr_names);
+    out.resize(plan.count());
+    plan.write_into(out, 0);
+    return out;
 }
 
 std::vector<testing::ParticleKey> reference(const ParticleSet& set, const Box& box,
@@ -278,9 +269,10 @@ TEST(BatQueryTest, StatsAccumulateAcrossCalls) {
     EXPECT_EQ(stats.pruned_by_bitmap, 2 * after_one.pruned_by_bitmap);
 }
 
-TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
-    // The contiguous-range fast path must emit exactly the particles the
-    // per-point path does, for covering, partial, and boxless queries.
+TEST(BatQueryTest, PlanMatchesPointCallback) {
+    // The planned windows — fast-path ranges included — must hold exactly
+    // the particles the per-point path emits, for covering, partial, and
+    // boxless queries.
     const Fixture fx(20'000, 2, 31);
     const BatFile file = fx.file();
     struct Case {
@@ -297,36 +289,24 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
         query.box = c.box;
         const std::vector<testing::ParticleKey> expected = collect(file, query);
 
-        ParticleSet via_sink(fx.original.attr_names());
-        QuerySink sink;
-        sink.point = [&via_sink](Vec3 p, std::span<const double> attrs) {
-            via_sink.push_back(p, attrs);
-        };
-        sink.range = [&via_sink](const BatTreeletView& view, std::uint32_t begin,
-                                 std::uint32_t end) {
-            append_rows(via_sink, view, begin, end);
-        };
         QueryStats stats;
-        const std::uint64_t n = query_bat(file, query, sink, &stats);
-        EXPECT_EQ(n, via_sink.count());
-        std::vector<testing::ParticleKey> got = testing::particle_keys(via_sink);
+        const QueryPlan plan = plan_bat(file, query, &stats);
+        std::vector<testing::ParticleKey> got =
+            testing::particle_keys(plan_points(plan, fx.original.attr_names()));
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, expected);
         if (c.covers_all) {
             // Covering queries should take the fast path for everything.
-            EXPECT_EQ(stats.points_fast_path, n);
+            EXPECT_EQ(stats.points_fast_path, plan.count());
         }
         EXPECT_GE(stats.points_tested + stats.points_fast_path, stats.points_emitted);
     }
 
-    // Emission order and every QueryStats field must not depend on which
-    // sinks are set: the point, point+range and point+range+gather sinks
-    // emit the same unsorted sequence, on the file and on the in-memory
-    // view. Leaves own up to 128 points and inner nodes 8 LOD points, so the
-    // tested windows are both longer and shorter than one 64-point block.
-    ParticleSet copy = fx.original;
-    const BatData bat = build_bat(std::move(copy), BatConfig{});
-    const BatDataView in_memory(bat);
+    // Emission order and every QueryStats field must not depend on how the
+    // plan is consumed: write_into, write_wire and the per-point query_bat
+    // give the same unsorted sequence. Leaves own up to 128 points and
+    // inner nodes 8 LOD points, so the tested windows are both longer and
+    // shorter than one 64-point block.
     bool long_window = false;
     bool short_window = false;
     for (std::size_t t = 0; t < file.num_treelets(); ++t) {
@@ -358,29 +338,6 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
     queries[5].quality_lo = 0.25f;
     queries[5].quality_hi = 0.6f;
 
-    const auto run = [&fx](const auto& source, const BatQuery& query, bool range,
-                           bool gather, QueryStats* stats) {
-        ParticleSet out(fx.original.attr_names());
-        QuerySink sink;
-        sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
-        if (range) {
-            sink.range = [&out](const BatTreeletView& view, std::uint32_t begin,
-                                std::uint32_t end) {
-                append_rows(out, view, begin, end);
-            };
-        }
-        if (gather) {
-            sink.gather = [&out](const BatTreeletView& view,
-                                 std::span<const std::uint32_t> idx) {
-                for (const std::uint32_t i : idx) {
-                    append_row(out, view, i);
-                }
-            };
-        }
-        const std::uint64_t n = query_bat(source, query, sink, stats);
-        EXPECT_EQ(n, out.count());
-        return testing::particle_sequence(out);
-    };
     const auto expect_same_stats = [](const QueryStats& a, const QueryStats& b) {
         EXPECT_EQ(a.shallow_nodes_visited, b.shallow_nodes_visited);
         EXPECT_EQ(a.treelet_nodes_visited, b.treelet_nodes_visited);
@@ -390,23 +347,30 @@ TEST(BatQueryTest, RangeSinkMatchesPointCallback) {
         EXPECT_EQ(a.points_emitted, b.points_emitted);
         EXPECT_EQ(a.points_fast_path, b.points_fast_path);
     };
+    const std::vector<std::string>& names = fx.original.attr_names();
     for (std::size_t q = 0; q < queries.size(); ++q) {
         SCOPED_TRACE("query " + std::to_string(q));
+        ParticleSet pointwise(names);
         QueryStats point_stats;
+        const std::uint64_t n = query_bat(
+            file, queries[q],
+            [&pointwise](Vec3 p, std::span<const double> attrs) { pointwise.push_back(p, attrs); },
+            &point_stats);
+        EXPECT_EQ(n, pointwise.count());
         const std::vector<testing::ParticleKey> point_only =
-            run(file, queries[q], false, false, &point_stats);
+            testing::particle_sequence(pointwise);
         EXPECT_FALSE(point_only.empty());
         EXPECT_GT(point_stats.points_tested, point_only.size());
-        const auto check = [&](const auto& source, bool range, bool gather) {
-            QueryStats stats;
-            EXPECT_EQ(run(source, queries[q], range, gather, &stats), point_only);
-            expect_same_stats(stats, point_stats);
-        };
-        check(file, true, false);
-        check(file, true, true);
-        check(in_memory, false, false);
-        check(in_memory, true, false);
-        check(in_memory, true, true);
+
+        QueryStats plan_stats;
+        const QueryPlan plan = plan_bat(file, queries[q], &plan_stats);
+        EXPECT_EQ(plan.count(), n);
+        const ParticleSet planned = plan_points(plan, names);
+        EXPECT_EQ(testing::particle_sequence(planned), point_only);
+        expect_same_stats(plan_stats, point_stats);
+        std::vector<std::byte> wire(plan.wire_size(names));
+        plan.write_wire(wire, names);
+        EXPECT_EQ(wire, pointwise.to_bytes());
     }
 }
 
@@ -421,19 +385,10 @@ TEST(BatQueryTest, FastPathRespectsProgressiveWindows) {
         BatQuery query;
         query.quality_lo = static_cast<float>(step) / 4.f;
         query.quality_hi = static_cast<float>(step + 1) / 4.f;
-        ParticleSet part(fx.original.attr_names());
-        QuerySink sink;
-        sink.point = [&part](Vec3 p, std::span<const double> attrs) {
-            part.push_back(p, attrs);
-        };
-        sink.range = [&part](const BatTreeletView& view, std::uint32_t begin,
-                             std::uint32_t end) {
-            append_rows(part, view, begin, end);
-        };
         QueryStats stats;
-        query_bat(file, query, sink, &stats);
+        const QueryPlan plan = plan_bat(file, query, &stats);
         fast_path_total += stats.points_fast_path;
-        const auto keys = testing::particle_keys(part);
+        const auto keys = testing::particle_keys(plan_points(plan, fx.original.attr_names()));
         all.insert(all.end(), keys.begin(), keys.end());
     }
     // Boxless queries take the fast path exclusively.

@@ -1,5 +1,7 @@
 // Tests for the Dataset reader (whole-data-set queries through the
-// metadata) and the in-transit BatDataView query path.
+// metadata; collect() against query(); leaves whose schema differs from the
+// metadata's) and in-transit queries on a BatFile opened over an unwritten
+// BAT's serialize_bat image.
 
 #include <gtest/gtest.h>
 
@@ -128,36 +130,96 @@ TEST(DatasetTest, ProgressiveWindowsAcrossLeavesPartition) {
     EXPECT_EQ(total, w.global.count());
 }
 
-// ---- in-transit queries on an unwritten BAT --------------------------------
-
-TEST(InTransitTest, DataViewMatchesFileQueries) {
-    ParticleSet particles = make_uniform_particles(kDomain, 15'000, 2, 21);
-    const ParticleSet original = particles;
-    const BatData bat = build_bat(std::move(particles), BatConfig{});
-    const auto bytes = serialize_bat(bat);
-    const BatFile file{std::span<const std::byte>(bytes)};
-
-    const Box box({0.3f, 0.3f, 0.3f}, {1.5f, 1.2f, 1.9f});
-    for (float quality : {0.1f, 0.5f, 1.0f}) {
-        BatQuery query;
-        query.box = box;
-        query.quality_hi = quality;
-        std::uint64_t from_file = query_bat(file, query, [](Vec3, std::span<const double>) {});
-        std::uint64_t from_memory = query_bat(bat, query, [](Vec3, std::span<const double>) {});
-        EXPECT_EQ(from_file, from_memory) << "quality " << quality;
+TEST(DatasetTest, CollectEqualsPointwiseQuery) {
+    // collect() must return exactly the points query() hands its callback,
+    // byte for byte and in the same order, with the same QueryStats — over
+    // many leaves and every query kind (box, filters, half-open, windows).
+    WrittenDataset w(40'000, 16 << 10);
+    Dataset ds(w.meta_path);
+    ASSERT_GT(ds.metadata().leaves.size(), 3u);
+    const auto [lo0, hi0] = ds.attr_range(0);
+    const auto [lo2, hi2] = ds.attr_range(2);
+    const AttrFilter filter0{0, lo0 + 0.3 * (hi0 - lo0), lo0 + 0.8 * (hi0 - lo0)};
+    const AttrFilter filter2{2, lo2 + 0.1 * (hi2 - lo2), lo2 + 0.6 * (hi2 - lo2)};
+    const Box part({0.3f, 0.2f, 0.5f}, {1.4f, 1.7f, 1.3f});
+    std::vector<BatQuery> queries(7);
+    queries[1].box = part;                                      // box only
+    queries[2].attr_filters = {filter0};                        // filter only
+    queries[3].box = part;                                      // box + filters
+    queries[3].attr_filters = {filter0, filter2};
+    queries[4].box = Box({0.5f, 0.5f, 0.5f}, {1.5f, 1.5f, 1.5f});  // half-open
+    queries[4].inclusive_upper = false;
+    queries[4].attr_filters = {filter2};
+    queries[5] = queries[3];                                    // progressive window
+    queries[5].quality_lo = 0.3f;
+    queries[5].quality_hi = 0.8f;
+    queries[6].box = part;                                      // progressive, box only
+    queries[6].quality_lo = 0.25f;
+    queries[6].quality_hi = 0.6f;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        ParticleSet pointwise(ds.attr_names());
+        QueryStats query_stats;
+        const std::uint64_t n = ds.query(
+            queries[q],
+            [&pointwise](Vec3 p, std::span<const double> attrs) { pointwise.push_back(p, attrs); },
+            &query_stats);
+        EXPECT_EQ(n, pointwise.count());
+        EXPECT_GT(n, 0u);
+        QueryStats collect_stats;
+        const ParticleSet collected = ds.collect(queries[q], &collect_stats);
+        EXPECT_EQ(collected.attr_names(), ds.attr_names());
+        EXPECT_EQ(collected.to_bytes(), pointwise.to_bytes());
+        EXPECT_EQ(collect_stats.shallow_nodes_visited, query_stats.shallow_nodes_visited);
+        EXPECT_EQ(collect_stats.treelet_nodes_visited, query_stats.treelet_nodes_visited);
+        EXPECT_EQ(collect_stats.pruned_by_box, query_stats.pruned_by_box);
+        EXPECT_EQ(collect_stats.pruned_by_bitmap, query_stats.pruned_by_bitmap);
+        EXPECT_EQ(collect_stats.points_tested, query_stats.points_tested);
+        EXPECT_EQ(collect_stats.points_emitted, query_stats.points_emitted);
+        EXPECT_EQ(collect_stats.points_fast_path, query_stats.points_fast_path);
     }
 }
+
+TEST(DatasetTest, LeafWithOtherSchemaIsRejected) {
+    // A leaf whose attributes differ from the metadata's would hand query()
+    // callbacks spans of the wrong length (and the C API's callers would
+    // read past them): opening it must raise instead.
+    WrittenDataset w;
+    const Metadata meta = Metadata::load(w.meta_path);
+    const std::filesystem::path leaf_path = w.dir.path() / meta.leaves[0].file;
+    ParticleSet one_attr(uniform_attr_names(1));
+    {
+        const BatFile leaf(leaf_path);
+        ASSERT_EQ(leaf.num_attrs(), 3u);
+        query_bat(leaf, BatQuery{}, [&one_attr](Vec3 p, std::span<const double> attrs) {
+            one_attr.push_back(p, attrs.first(1));
+        });
+    }
+    ASSERT_GT(one_attr.count(), 0u);
+    write_bat_file(leaf_path, build_bat(std::move(one_attr), BatConfig{}));
+    {
+        Dataset ds(w.meta_path);
+        EXPECT_THROW(ds.query(BatQuery{}, [](Vec3, std::span<const double>) {}), Error);
+        EXPECT_THROW(ds.leaf_file(0), Error);
+    }
+    Dataset ds(w.meta_path);
+    EXPECT_THROW(ds.collect(BatQuery{}), Error);
+}
+
+// ---- in-transit queries on an unwritten BAT's image -------------------------
 
 TEST(InTransitTest, AttributeFilteringWorksInMemory) {
     ParticleSet particles = make_uniform_particles(kDomain, 10'000, 2, 23);
     const ParticleSet original = particles;
     const BatData bat = build_bat(std::move(particles), BatConfig{});
+    const std::vector<std::byte> image = serialize_bat(bat);
+    const BatFile file{std::span<const std::byte>(image)};
     const auto [lo, hi] = bat.attr_ranges[0];
     BatQuery query;
     query.attr_filters.push_back({0, lo, lo + 0.3 * (hi - lo)});
     QueryStats stats;
     const std::uint64_t n =
-        query_bat(bat, query, [](Vec3, std::span<const double>) {}, &stats);
+        query_bat(file, query, [](Vec3, std::span<const double>) {}, &stats);
     EXPECT_EQ(n, testing::brute_force_query(original, Box({-9, -9, -9}, {9, 9, 9}), true, 0,
                                             lo, lo + 0.3 * (hi - lo))
                      .size());
@@ -166,8 +228,10 @@ TEST(InTransitTest, AttributeFilteringWorksInMemory) {
 
 TEST(InTransitTest, EmptyBatInMemory) {
     ParticleSet particles(uniform_attr_names(1));
-    const BatData bat = build_bat(std::move(particles), BatConfig{});
-    EXPECT_EQ(query_bat(bat, BatQuery{}, [](Vec3, std::span<const double>) {}), 0u);
+    const std::vector<std::byte> image =
+        serialize_bat(build_bat(std::move(particles), BatConfig{}));
+    const BatFile file{std::span<const std::byte>(image)};
+    EXPECT_EQ(query_bat(file, BatQuery{}, [](Vec3, std::span<const double>) {}), 0u);
 }
 
 // ---- recommend_target_size ---------------------------------------------------

@@ -502,6 +502,46 @@ TEST(ReadParallelTest, MixedRemoteLocalReadKeepsOrder) {
     EXPECT_EQ(read_all(w, nranks, pooled), want);
 }
 
+TEST(ReadParallelTest, LeafWithRenamedAttributesIsRejected) {
+    // A leaf with the metadata's attribute count but other names must not
+    // be served under the metadata's names: the rank that opens it, for
+    // its own result or to serve a peer, raises after the round.
+    const Written w;
+    const Metadata meta = Metadata::load(w.meta_path);
+    const std::filesystem::path leaf_path = w.dir.path() / meta.leaves[0].file;
+    ParticleSet renamed(std::vector<std::string>{"renamed0", "renamed1"});
+    {
+        const BatFile leaf(leaf_path);
+        ASSERT_EQ(leaf.num_attrs(), renamed.num_attrs());
+        query_bat(leaf, BatQuery{}, [&renamed](Vec3 p, std::span<const double> attrs) {
+            renamed.push_back(p, attrs);
+        });
+    }
+    ASSERT_GT(renamed.count(), 0u);
+    write_bat_file(leaf_path, build_bat(std::move(renamed), BatConfig{}));
+    // A local leaf: one rank reads everything itself.
+    vmpi::Runtime::run(1, [&](vmpi::Comm& comm) {
+        EXPECT_THROW(read_particles(comm, w.meta_path, kDomain, ReaderConfig{}), Error);
+    });
+    // A served leaf: only the rank that does not aggregate leaf 0 reads.
+    // The server asks for nothing, so its failed round leaves no query
+    // record without its serve spans.
+    const int server =
+        assign_read_aggregators(static_cast<int>(meta.leaves.size()), 2).front();
+    const Box nowhere({5, 5, 5}, {6, 6, 6});
+    std::atomic<int> errors{0};
+    vmpi::Runtime::run(2, [&](vmpi::Comm& comm) {
+        const Box box = comm.rank() == server ? nowhere : kDomain;
+        try {
+            read_particles(comm, w.meta_path, box, ReaderConfig{});
+        } catch (const Error&) {
+            EXPECT_EQ(comm.rank(), server);
+            errors.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(errors.load(), 1);
+}
+
 // ---- malformed wire messages ------------------------------------------------
 // Counts and lengths come from the peer, so each decoder must reject one
 // the message cannot hold with bat::Error before allocating or slicing.
